@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use rover_bench::exps::scale::{run_scale, ScaleConfig, GROUP_POLICY};
+use rover_bench::exps::scale::{run_scale, ScaleConfig, GROUP_BATCH};
 use rover_core::{HotSet, RoverObject, Urn};
 use rover_net::{split_envelope, Reassembler};
 use rover_script::{set_program_cache_enabled, Budget, Value};
@@ -538,8 +538,8 @@ fn bench_hotset(c: &mut Criterion) {
 
 /// A 64-client single-burst scale-soak arm: every client arrives at
 /// once and drives 8 exports at the 1995 server disk model.
-fn burst_cfg(policy: rover_core::CommitPolicy) -> ScaleConfig {
-    let mut cfg = ScaleConfig::new(11, 64, 8).with_policy(policy);
+fn burst_cfg(commit_batch: usize) -> ScaleConfig {
+    let mut cfg = ScaleConfig::new(11, 64, 8).with_commit_batch(commit_batch);
     cfg.bursts = 1; // one thundering herd, not a staggered arrival ramp
                     // Pin the fast link so the commit path — not a 14.4k modem — is
                     // the bottleneck being compared.
@@ -548,8 +548,8 @@ fn burst_cfg(policy: rover_core::CommitPolicy) -> ScaleConfig {
 }
 
 /// Virtual-time commits/s of one converged arm.
-fn commits_per_s(policy: rover_core::CommitPolicy) -> f64 {
-    run_scale(burst_cfg(policy))
+fn commits_per_s(commit_batch: usize) -> f64 {
+    run_scale(burst_cfg(commit_batch))
         .expect("scale invariants hold")
         .commits_per_s()
 }
@@ -558,17 +558,17 @@ fn bench_group_commit(c: &mut Criterion) {
     // Wall-clock cost of simulating one converged 64-client burst —
     // the group engine also runs *fewer* simulator events per commit.
     c.bench_function("commit/group_burst_64c", |b| {
-        b.iter(|| black_box(commits_per_s(GROUP_POLICY)));
+        b.iter(|| black_box(commits_per_s(GROUP_BATCH)));
     });
     c.bench_function("commit/perop_burst_64c", |b| {
-        b.iter(|| black_box(commits_per_s(rover_core::CommitPolicy::PerOperation)));
+        b.iter(|| black_box(commits_per_s(1)));
     });
 
     // Headline ratio in *virtual* time — the release gate: under a
     // 64-client burst on the 1995 server disk, group commit must
     // sustain >= 4x the per-operation-flush commit rate.
-    let group = commits_per_s(GROUP_POLICY);
-    let per_op = commits_per_s(rover_core::CommitPolicy::PerOperation);
+    let group = commits_per_s(GROUP_BATCH);
+    let per_op = commits_per_s(1);
     let speedup = group / per_op;
     println!(
         "commit/speedup_group_vs_perop                {:>10.2}x  (group {:.0} commits/s, per-op {:.0} commits/s)",

@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use rover_core::{RoverObject, Urn};
-use rover_log::{FlushPolicy, MemStore, OpLog, RecordKind};
+use rover_log::{MemStore, OpLog, RecordKind};
 use rover_script::{Budget, Interp, NoHost};
 use rover_wire::{
     compress, decompress, Bytes, HostId, Priority, QrpcRequest, RequestId, RoverOp, SessionId,
@@ -45,7 +45,7 @@ fn bench_marshal(c: &mut Criterion) {
 
 fn bench_log(c: &mut Criterion) {
     c.bench_function("log/append_1k_manual", |b| {
-        let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
+        let mut log = OpLog::open(MemStore::new()).unwrap();
         let payload = vec![0xA5u8; 1024];
         b.iter(|| {
             let seq = log.append(RecordKind::Request, payload.clone()).unwrap();

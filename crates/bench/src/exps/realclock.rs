@@ -22,15 +22,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rover_cluster::{recover_snapshot, run_client, run_server, ClientOpts, ServerOpts};
+use rover_cluster::{
+    recover_snapshot, run_client, run_server, ClientOpts, ServerOpts, COMMIT_BATCH,
+};
 
 use crate::report::Report;
 use crate::table::Table;
 
 const OPS: u64 = 2_000;
 const WINDOW: usize = 16;
-const GROUP_BATCH: usize = 32;
-const GROUP_WINDOW_MS: u64 = 2;
 
 /// Distinguishes concurrent harness invocations (serial and `--jobs N`
 /// runs of the same binary, or two harnesses racing in CI).
@@ -50,8 +50,6 @@ pub fn s4_realclock(r: &mut Report) {
     let opts = ServerOpts {
         listen: "127.0.0.1:0".into(),
         wal: wal.clone(),
-        group_batch: GROUP_BATCH,
-        group_window_ms: GROUP_WINDOW_MS,
         checkpoint_every: 256,
         addr_file: Some(addr_file.clone()),
         tick: Duration::from_millis(5),
@@ -114,7 +112,7 @@ pub fn s4_realclock(r: &mut Report) {
         &["arm", "ops", "committed", "recovered n", "exactly-once"],
     );
     t.row(vec![
-        format!("tcp+fsync g{GROUP_BATCH}/{GROUP_WINDOW_MS}ms w{WINDOW}"),
+        format!("tcp+fsync g{COMMIT_BATCH} w{WINDOW}"),
         OPS.to_string(),
         summary.committed.to_string(),
         n1.to_string(),

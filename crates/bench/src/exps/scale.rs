@@ -43,8 +43,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, CommitPolicy, CrashPoint, Guarantees, Rebalancer,
-    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn,
+    Client, ClientConfig, ClientRef, CrashPoint, Guarantees, Rebalancer, ReexecuteResolver,
+    RoverObject, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn,
 };
 use rover_log::MemStore;
 use rover_net::{LinkSpec, Net};
@@ -90,8 +90,8 @@ pub struct ScaleConfig {
     /// ethernet/WaveLAN/CSLIP mix (the hotpath gate pins ethernet so
     /// the *server*, not a 14.4k modem, is the bottleneck).
     pub link_override: Option<LinkSpec>,
-    /// Server commit policy under test.
-    pub policy: CommitPolicy,
+    /// Server commit-batch cap under test (1 = per-operation commit).
+    pub commit_batch: usize,
     /// Home-server shards the URN space is hash-partitioned across
     /// (1 = the classic single-server soak, byte-identical to the
     /// unsharded runs).
@@ -116,13 +116,9 @@ pub struct ScaleConfig {
     pub rebalance_every: Option<SimDuration>,
 }
 
-/// The group policy both the CLI and the `s1-scale` experiment measure:
-/// flush at 64 staged commits or 20 ms after the first, whichever is
-/// first.
-pub const GROUP_POLICY: CommitPolicy = CommitPolicy::Group {
-    max_batch: 64,
-    window: SimDuration::from_millis(20),
-};
+/// The group-commit cap both the CLI and the `s1-scale` experiment
+/// measure: up to 64 commits per self-clocked flush.
+pub const GROUP_BATCH: usize = 64;
 
 impl ScaleConfig {
     /// A per-operation-flush arm at the given population.
@@ -135,7 +131,7 @@ impl ScaleConfig {
             burst_gap: SimDuration::from_millis(100),
             think: SimDuration::from_millis(10),
             link_override: None,
-            policy: CommitPolicy::PerOperation,
+            commit_batch: 1,
             shards: 1,
             shard_crashes: 0,
             objects: NOBJ,
@@ -144,9 +140,9 @@ impl ScaleConfig {
         }
     }
 
-    /// Swaps in a commit policy.
-    pub fn with_policy(mut self, policy: CommitPolicy) -> ScaleConfig {
-        self.policy = policy;
+    /// Swaps in a commit-batch cap.
+    pub fn with_commit_batch(mut self, n: usize) -> ScaleConfig {
+        self.commit_batch = n;
         self
     }
 
@@ -211,7 +207,8 @@ pub struct ScaleOutcome {
     pub wal_appends: u64,
     /// Framed bytes forced to the WAL devices (all shards).
     pub wal_flush_bytes: u64,
-    /// Group flushes (`server.group_commits`; 0 on the per-op arm).
+    /// WAL flushes (`server.group_commits`; one per commit on the per-op
+    /// arm).
     pub group_commits: u64,
     /// Mean commits per flush x100 (100 = one per flush, per-op).
     pub batch_mean_x100: u64,
@@ -573,7 +570,7 @@ fn script_shard_chaos(server: &ServerRef, crashes: usize, expected_ops: u64) -> 
     let outage = SimDuration::from_secs(12);
     server
         .borrow_mut()
-        .script_crash(ords[0], CrashPoint::AfterAppend);
+        .script_crash(ords[0], CrashPoint::AfterStage);
     let next = Rc::new(Cell::new(1usize));
     let sv = server.clone();
     let scheduled = ords.len() as u64;
@@ -586,7 +583,7 @@ fn script_shard_chaos(server: &ServerRef, crashes: usize, expected_ops: u64) -> 
                 if i < ords.len() {
                     next.set(i + 1);
                     sv.borrow_mut()
-                        .script_crash(ords[i], CrashPoint::AfterAppend);
+                        .script_crash(ords[i], CrashPoint::AfterStage);
                 }
             });
         }
@@ -719,7 +716,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     let mut servers: Vec<ServerRef> = Vec::with_capacity(shards);
     for (idx, &host) in shard_hosts.iter().enumerate() {
         let mut scfg = ServerConfig::workstation(host);
-        scfg.commit = cfg.policy;
+        scfg.commit_batch = cfg.commit_batch;
         // At 10k clients a periodic full-store snapshot would dominate
         // the flush pipeline being measured; the log is compacted
         // offline.
@@ -1147,20 +1144,20 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
             cfg.seed
         ));
     }
-    match cfg.policy {
-        CommitPolicy::Group { .. } if group_commits == 0 => {
-            return Err(format!(
-                "seed {}: group policy never flushed a group",
-                cfg.seed
-            ));
-        }
-        CommitPolicy::PerOperation if group_commits != 0 => {
-            return Err(format!(
-                "seed {}: per-op policy recorded {group_commits} group flushes",
-                cfg.seed
-            ));
-        }
-        _ => {}
+    if group_commits == 0 {
+        return Err(format!("seed {}: the WAL never flushed", cfg.seed));
+    }
+    // Per-operation commit is cap 1: every flush holds exactly one
+    // commit record.
+    let batch_max = sim
+        .stats
+        .series("server.group_commit_batch_size")
+        .map_or(0.0, |s| s.max());
+    if cfg.commit_batch == 1 && batch_max != 1.0 {
+        return Err(format!(
+            "seed {}: per-op arm flushed a batch of {batch_max} commits",
+            cfg.seed
+        ));
     }
     if cfg.shard_crashes == 0 && retransmits != 0 {
         return Err(format!(
@@ -1312,7 +1309,7 @@ pub fn run_pair(
 ) -> Result<(ScaleOutcome, ScaleOutcome, f64), String> {
     let base = ScaleConfig::new(seed, clients, ops_per_client);
     let per_op = run_scale(base)?;
-    let group = run_scale(base.with_policy(GROUP_POLICY))?;
+    let group = run_scale(base.with_commit_batch(GROUP_BATCH))?;
     let speedup = group.commits_per_s() / per_op.commits_per_s();
     if clients >= RATIO_MIN_CLIENTS && speedup < RATIO_FLOOR {
         return Err(format!(
@@ -1522,7 +1519,7 @@ pub fn run_cli(
         let mut t = sharded_table(
             &format!(
                 "Scale soak — {clients} clients x {ops} ops across {shards} shards, \
-                 group commit (batch 64 / 20 ms window)"
+                 group commit (batch 64)"
             ),
             &format!(
                 "URN space hash-partitioned across {shards} home-server shards (independent \
@@ -1531,7 +1528,7 @@ pub fn run_cli(
         );
         for seed in seeds {
             let mut c = ScaleConfig::new(seed, clients, ops)
-                .with_policy(GROUP_POLICY)
+                .with_commit_batch(GROUP_BATCH)
                 .with_shards(shards)
                 .with_shard_crashes(shard_crashes);
             if replicate_hot > 0 {
@@ -1554,7 +1551,7 @@ pub fn run_cli(
     let mut t = Table::new(
         &format!(
             "Scale soak — {clients} clients x {ops} ops, per-op flush vs group commit \
-             (batch 64 / 20 ms window)"
+             (batch 64)"
         ),
         &[
             "seed",
@@ -1593,7 +1590,7 @@ pub fn s1_scale(r: &mut Report) {
     const CLIENTS: usize = 10_000;
     const OPS: usize = 3;
     let mut t = Table::new(
-        "S1 — 10k-client scale soak: per-op flush vs group commit (batch 64 / 20 ms window)",
+        "S1 — 10k-client scale soak: per-op flush vs group commit (batch 64)",
         &[
             "seed",
             "arm",
@@ -1639,7 +1636,7 @@ pub fn s2_shard_scaling(r: &mut Report) {
     for shards in [1usize, 2, 4, 8] {
         let o = run_scale(
             ScaleConfig::new(1, CLIENTS, OPS)
-                .with_policy(GROUP_POLICY)
+                .with_commit_batch(GROUP_BATCH)
                 .with_shards(shards),
         )
         .unwrap_or_else(|e| panic!("s2-shard-scaling invariant violated: {e}"));
@@ -1664,7 +1661,7 @@ pub fn s2_shard_scaling(r: &mut Report) {
     // the durability audit, and cross-shard WFR under recovery.
     let chaos = run_scale(
         ScaleConfig::new(1, CLIENTS, OPS)
-            .with_policy(GROUP_POLICY)
+            .with_commit_batch(GROUP_BATCH)
             .with_shards(4)
             .with_shard_crashes(2),
     )
@@ -1720,7 +1717,7 @@ pub fn s3_hot_balance(r: &mut Report) {
          replication on, 2 power failures per shard, full durability audit.",
     );
     let base = ScaleConfig::new(1, CLIENTS, OPS)
-        .with_policy(GROUP_POLICY)
+        .with_commit_batch(GROUP_BATCH)
         .with_shards(SHARDS);
     let stat = run_scale(base).unwrap_or_else(|e| panic!("s3-hot-balance static arm: {e}"));
     report_sharded(r, &mut t, &stat, "s3.static");
@@ -1771,14 +1768,14 @@ pub fn s3_hot_balance(r: &mut Report) {
     // across the federation.
     let stat2x = run_scale(
         ScaleConfig::new(1, CLIENTS, OPS * 2)
-            .with_policy(GROUP_POLICY)
+            .with_commit_batch(GROUP_BATCH)
             .with_shards(SHARDS),
     )
     .unwrap_or_else(|e| panic!("s3-hot-balance static-2x arm: {e}"));
     report_sharded(r, &mut t, &stat2x, "s3.static2x");
     let balanced2x = run_scale(
         ScaleConfig::new(1, CLIENTS, OPS * 2)
-            .with_policy(GROUP_POLICY)
+            .with_commit_batch(GROUP_BATCH)
             .with_shards(SHARDS)
             .with_objects(OBJECTS)
             .with_replication(HOT_K)
@@ -1803,7 +1800,7 @@ pub fn s3_hot_balance(r: &mut Report) {
     // session guarantees survived.
     let chaos = run_scale(
         ScaleConfig::new(1, CLIENTS, OPS)
-            .with_policy(GROUP_POLICY)
+            .with_commit_batch(GROUP_BATCH)
             .with_shards(4)
             .with_shard_crashes(2)
             .with_objects(OBJECTS)

@@ -93,8 +93,7 @@ impl SoakConfig {
         self
     }
 
-    /// Switches the server to the group-commit engine
-    /// ([`CommitPolicy::Group`], batch 8 / 50 ms window — sized for the
+    /// Switches the server to group commit (cap 8 — sized for the
     /// soak's modest concurrency).
     pub fn with_group_commit(mut self) -> SoakConfig {
         self.group_commit = true;
@@ -183,10 +182,7 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
     let net = Net::new();
     let mut scfg = ServerConfig::workstation(SERVER);
     if cfg.group_commit {
-        scfg.commit = rover_core::CommitPolicy::Group {
-            max_batch: 8,
-            window: SimDuration::from_millis(50),
-        };
+        scfg.commit_batch = 8;
     }
     let server = Server::new(&net, scfg);
     server

@@ -3,7 +3,7 @@
 //! seed. (CI runs the bigger sweep via `rover-bench soak --clients
 //! 1000 --smoke`.)
 
-use rover_bench::exps::scale::{run_pair, run_scale, ScaleConfig, GROUP_POLICY, RATIO_FLOOR};
+use rover_bench::exps::scale::{run_pair, run_scale, ScaleConfig, GROUP_BATCH, RATIO_FLOOR};
 
 #[test]
 fn scale_soak_converges_with_invariants() {
@@ -11,13 +11,16 @@ fn scale_soak_converges_with_invariants() {
     assert_eq!(o.final_total, o.ops);
     assert_eq!(o.committed, o.ops);
     assert_eq!(o.reexecs, 0);
-    assert_eq!(o.group_commits, 0, "per-op arm must never group-flush");
+    assert_eq!(
+        o.group_commits, o.wal_appends,
+        "per-op arm (cap 1): every flush holds exactly one commit"
+    );
     // The WAL logs every processed request (imports included), so the
     // count floors at one record per export.
     assert!(o.wal_appends >= o.ops, "one WAL record per commit minimum");
     assert_eq!(o.retransmits, 0, "clean links never retransmit");
 
-    let g = run_scale(ScaleConfig::new(3, 200, 2).with_policy(GROUP_POLICY))
+    let g = run_scale(ScaleConfig::new(3, 200, 2).with_commit_batch(GROUP_BATCH))
         .expect("group invariants hold");
     assert_eq!(g.final_total, g.ops);
     assert_eq!(g.reexecs, 0);
@@ -31,11 +34,11 @@ fn scale_soak_converges_with_invariants() {
 
 #[test]
 fn scale_soak_is_reproducible_per_seed() {
-    let cfg = ScaleConfig::new(7, 150, 2).with_policy(GROUP_POLICY);
+    let cfg = ScaleConfig::new(7, 150, 2).with_commit_batch(GROUP_BATCH);
     let a = run_scale(cfg).expect("run a");
     let b = run_scale(cfg).expect("run b");
     assert_eq!(a, b, "same seed must reproduce byte-identical outcomes");
-    let c = run_scale(ScaleConfig::new(8, 150, 2).with_policy(GROUP_POLICY)).expect("run c");
+    let c = run_scale(ScaleConfig::new(8, 150, 2).with_commit_batch(GROUP_BATCH)).expect("run c");
     assert_ne!(a.digest, c.digest, "different seeds should differ");
 }
 

@@ -5,7 +5,7 @@
 //! soak digests, and `--shards 1` must reproduce the single-server
 //! path exactly.
 
-use rover_bench::exps::scale::{run_scale, ScaleConfig, GROUP_POLICY};
+use rover_bench::exps::scale::{run_scale, ScaleConfig, GROUP_BATCH};
 use rover_bench::testbed::Federation;
 use rover_core::{Client, Priority, Server, ShardMap, Urn};
 use rover_net::LinkSpec;
@@ -219,7 +219,7 @@ fn cross_shard_guarantees_survive_shard_crash_restart() {
 #[test]
 fn sharded_scale_run_is_deterministic() {
     let cfg = ScaleConfig::new(5, 130, 2)
-        .with_policy(GROUP_POLICY)
+        .with_commit_batch(GROUP_BATCH)
         .with_shards(4);
     let a = run_scale(cfg).expect("run a");
     let b = run_scale(cfg).expect("run b");
@@ -231,7 +231,7 @@ fn sharded_scale_run_is_deterministic() {
 #[test]
 fn shard_kill_chaos_run_is_deterministic() {
     let cfg = ScaleConfig::new(9, 130, 2)
-        .with_policy(GROUP_POLICY)
+        .with_commit_batch(GROUP_BATCH)
         .with_shards(4)
         .with_shard_crashes(1);
     let a = run_scale(cfg).expect("chaos run a");
@@ -242,7 +242,7 @@ fn shard_kill_chaos_run_is_deterministic() {
 
 #[test]
 fn one_shard_run_reproduces_the_unsharded_digest() {
-    let base = ScaleConfig::new(3, 150, 2).with_policy(GROUP_POLICY);
+    let base = ScaleConfig::new(3, 150, 2).with_commit_batch(GROUP_BATCH);
     let unsharded = run_scale(base).expect("unsharded");
     let one = run_scale(base.with_shards(1)).expect("one shard");
     assert_eq!(
@@ -255,13 +255,13 @@ fn one_shard_run_reproduces_the_unsharded_digest() {
 fn different_shard_counts_commit_everything_but_diverge() {
     let two = run_scale(
         ScaleConfig::new(4, 130, 2)
-            .with_policy(GROUP_POLICY)
+            .with_commit_batch(GROUP_BATCH)
             .with_shards(2),
     )
     .expect("2 shards");
     let four = run_scale(
         ScaleConfig::new(4, 130, 2)
-            .with_policy(GROUP_POLICY)
+            .with_commit_batch(GROUP_BATCH)
             .with_shards(4),
     )
     .expect("4 shards");
@@ -274,7 +274,7 @@ fn different_shard_counts_commit_everything_but_diverge() {
 #[test]
 fn replication_and_rebalancing_run_is_deterministic() {
     let cfg = ScaleConfig::new(6, 300, 2)
-        .with_policy(GROUP_POLICY)
+        .with_commit_batch(GROUP_BATCH)
         .with_shards(4)
         .with_replication(8)
         .with_rebalancing(SimDuration::from_millis(50));
@@ -287,7 +287,7 @@ fn replication_and_rebalancing_run_is_deterministic() {
 #[test]
 fn replication_serves_replica_reads_without_weakening_sessions() {
     let base = ScaleConfig::new(8, 400, 2)
-        .with_policy(GROUP_POLICY)
+        .with_commit_batch(GROUP_BATCH)
         .with_shards(4);
     let replicated = run_scale(base.with_replication(8)).expect("replicated");
     assert!(
@@ -309,7 +309,7 @@ fn replication_serves_replica_reads_without_weakening_sessions() {
 #[test]
 fn chaos_with_replication_is_deterministic_and_durable() {
     let cfg = ScaleConfig::new(11, 300, 2)
-        .with_policy(GROUP_POLICY)
+        .with_commit_batch(GROUP_BATCH)
         .with_shards(4)
         .with_shard_crashes(1)
         .with_replication(8);

@@ -12,7 +12,9 @@
 //! retransmission machinery unchanged.
 //!
 //! What stays deterministic: every state-machine decision (dedup,
-//! ack floors, group-commit batching, recovery). What becomes real:
+//! ack floors, recovery). Group-commit batching is self-clocking: a
+//! batch holds the commits that executed while the previous fsync ran,
+//! up to [`COMMIT_BATCH`]. What becomes real:
 //! message timing, interleaving across processes, `fsync` on the WAL
 //! ([`FileStore`]), and process death.
 //!
@@ -29,5 +31,5 @@ mod runtime;
 
 pub use runtime::{
     atomic_write, counter_object, counter_urn, read_counter, recover_snapshot, run_client,
-    run_server, ClientOpts, ClientSummary, ServerOpts, ServerSummary, SERVER_HOST,
+    run_server, ClientOpts, ClientSummary, ServerOpts, ServerSummary, COMMIT_BATCH, SERVER_HOST,
 };

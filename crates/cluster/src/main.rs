@@ -1,8 +1,7 @@
 //! `rover-cluster`: run Rover's client/server cores over real sockets.
 //!
 //! Subcommands:
-//!   server --listen A --wal F [--addr-file F] [--group-batch N]
-//!          [--group-window-ms N] [--checkpoint-every N]
+//!   server --listen A --wal F [--addr-file F] [--checkpoint-every N]
 //!   client --connect A [--host-id N] [--ops N] [--window N]
 //!          [--progress F] [--rto-ms N] [--deadline-s N]
 //!   dump   --wal F [--out F]
@@ -46,8 +45,7 @@ mod sigterm {
 
 fn usage() -> String {
     "usage: rover-cluster <server|client|dump> [flags]\n\
-     server --listen ADDR --wal FILE [--addr-file FILE] [--group-batch N]\n\
-            [--group-window-ms N] [--checkpoint-every N]\n\
+     server --listen ADDR --wal FILE [--addr-file FILE] [--checkpoint-every N]\n\
      client --connect ADDR [--host-id N] [--ops N] [--window N]\n\
             [--progress FILE] [--rto-ms N] [--deadline-s N]\n\
      dump   --wal FILE [--out FILE]"
@@ -91,25 +89,13 @@ impl Flags {
 }
 
 fn cmd_server(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(
-        args,
-        &[
-            "listen",
-            "wal",
-            "addr-file",
-            "group-batch",
-            "group-window-ms",
-            "checkpoint-every",
-        ],
-    )?;
+    let f = Flags::parse(args, &["listen", "wal", "addr-file", "checkpoint-every"])?;
     let mut opts = ServerOpts {
         listen: f.get("listen").unwrap_or("127.0.0.1:0").to_string(),
         wal: PathBuf::from(f.get("wal").ok_or("--wal is required")?),
         ..ServerOpts::default()
     };
     opts.addr_file = f.get("addr-file").map(PathBuf::from);
-    opts.group_batch = f.num("group-batch", opts.group_batch as u64)? as usize;
-    opts.group_window_ms = f.num("group-window-ms", opts.group_window_ms)?;
     opts.checkpoint_every = f.num("checkpoint-every", opts.checkpoint_every as u64)? as usize;
 
     sigterm::install();

@@ -10,8 +10,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use rover_core::{
-    Client, ClientConfig, CommitPolicy, Guarantees, LogPolicy, Priority, ReexecuteResolver,
-    RoverObject, Server, ServerConfig, StorageModel, Urn,
+    Client, ClientConfig, Guarantees, LogPolicy, Priority, ReexecuteResolver, RoverObject, Server,
+    ServerConfig, StorageModel, Urn,
 };
 use rover_log::{FileStore, MemStore};
 use rover_net::{
@@ -24,6 +24,12 @@ use rover_wire::HostId;
 /// The server's host id on every per-process loopback fabric. Client
 /// host ids are chosen by the client process (any value but this one).
 pub const SERVER_HOST: HostId = HostId(1_000_000);
+
+/// Most commits one WAL flush carries. The flush is self-clocking: a
+/// batch goes out once every request read from the sockets has run, or
+/// at this cap, and commits that execute during an fsync share the next
+/// one.
+pub const COMMIT_BATCH: usize = 32;
 
 /// Effectively-infinite MTU: framing over TCP makes sim-level
 /// fragmentation pure overhead, so it is disabled on both sides.
@@ -81,10 +87,6 @@ pub struct ServerOpts {
     /// Path of the write-ahead log file (created if absent; a non-empty
     /// file is recovered from).
     pub wal: PathBuf,
-    /// Group-commit batch size; `0` selects per-operation commit.
-    pub group_batch: usize,
-    /// Group-commit window in milliseconds.
-    pub group_window_ms: u64,
     /// Commits between checkpoints.
     pub checkpoint_every: usize,
     /// When set, the actually-bound address is written here once
@@ -99,8 +101,6 @@ impl Default for ServerOpts {
         ServerOpts {
             listen: "127.0.0.1:0".into(),
             wal: PathBuf::from("rover.wal"),
-            group_batch: 32,
-            group_window_ms: 2,
             checkpoint_every: 64,
             addr_file: None,
             tick: Duration::from_millis(25),
@@ -115,7 +115,7 @@ pub struct ServerSummary {
     pub recovered: u64,
     /// Requests executed this run.
     pub requests: u64,
-    /// Group-commit flushes this run.
+    /// WAL flushes (commit batches) this run.
     pub group_commits: u64,
     /// Checkpoints written this run (includes the shutdown checkpoint).
     pub checkpoints: u64,
@@ -132,8 +132,8 @@ struct Conn {
 }
 
 /// Runs a Rover home server on real TCP + a real fsync'd WAL until
-/// `shutdown` becomes true, then flushes any staged group-commit batch,
-/// checkpoints, and returns.
+/// `shutdown` becomes true, then flushes any staged commits, checkpoints,
+/// and returns.
 pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<ServerSummary, String> {
     let listener =
         TcpListener::bind(&opts.listen).map_err(|e| format!("bind {}: {e}", opts.listen))?;
@@ -152,12 +152,7 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     cfg.storage = StorageModel::FREE; // The FileStore's fsync is the real cost.
     cfg.mtu = NO_FRAG_MTU;
     cfg.checkpoint_every = opts.checkpoint_every;
-    if opts.group_batch > 0 {
-        cfg.commit = CommitPolicy::Group {
-            max_batch: opts.group_batch,
-            window: SimDuration::from_millis(opts.group_window_ms),
-        };
-    }
+    cfg.commit_batch = COMMIT_BATCH;
     let server = Server::new(&net, cfg);
     server
         .borrow_mut()
@@ -287,7 +282,7 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
         clock.wait_until(Some(wait));
     }
 
-    // Graceful shutdown: make the staged batch durable and checkpoint,
+    // Graceful shutdown: make the staged commits durable and checkpoint,
     // then let immediate follow-up events (reply dispatch) drain.
     Server::flush_and_checkpoint(&server, &mut sim);
     sim.run_for(SimDuration::from_millis(5));

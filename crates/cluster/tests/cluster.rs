@@ -34,7 +34,7 @@ impl Drop for TestCluster {
 impl TestCluster {
     /// Creates the scratch dir and boots the first server on an
     /// OS-assigned port, recording the bound address for reconnects.
-    fn boot(name: &str, server_flags: &[&str]) -> TestCluster {
+    fn boot(name: &str) -> TestCluster {
         let dir = std::env::temp_dir().join(format!("rover-cluster-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir scratch");
@@ -44,7 +44,7 @@ impl TestCluster {
             children: Vec::new(),
         };
         let addr_file = tc.dir.join("addr.txt");
-        tc.spawn_server("127.0.0.1:0", Some(&addr_file), server_flags);
+        tc.spawn_server("127.0.0.1:0", Some(&addr_file));
         tc.addr = wait_for_file(&addr_file, Duration::from_secs(10))
             .expect("server never wrote its address");
         tc
@@ -54,7 +54,7 @@ impl TestCluster {
         self.dir.join("w.wal")
     }
 
-    fn spawn_server(&mut self, listen: &str, addr_file: Option<&Path>, flags: &[&str]) -> usize {
+    fn spawn_server(&mut self, listen: &str, addr_file: Option<&Path>) -> usize {
         let mut cmd = Command::new(BIN);
         cmd.arg("server")
             .arg("--listen")
@@ -66,15 +66,14 @@ impl TestCluster {
         if let Some(f) = addr_file {
             cmd.arg("--addr-file").arg(f);
         }
-        cmd.args(flags);
         self.children.push(cmd.spawn().expect("spawn server"));
         self.children.len() - 1
     }
 
     /// Restarts a server on the *same* address, recovering the WAL.
-    fn respawn_server(&mut self, flags: &[&str]) -> usize {
+    fn respawn_server(&mut self) -> usize {
         let addr = self.addr.clone();
-        self.spawn_server(&addr, None, flags)
+        self.spawn_server(&addr, None)
     }
 
     fn spawn_client(&mut self, ops: u64, progress: &Path, extra: &[&str]) -> usize {
@@ -204,7 +203,7 @@ fn wait_progress(path: &Path, min: u64, timeout: Duration) -> u64 {
 #[test]
 fn kill9_mid_sync_loses_nothing_and_reexecutes_nothing() {
     const OPS: u64 = 6_000;
-    let mut tc = TestCluster::boot("kill9", &[]);
+    let mut tc = TestCluster::boot("kill9");
     let progress = tc.dir.join("prog.txt");
     let client = tc.spawn_client(OPS, &progress, &[]);
 
@@ -214,7 +213,7 @@ fn kill9_mid_sync_loses_nothing_and_reexecutes_nothing() {
     assert!(at_kill < OPS, "client finished before the kill landed");
 
     // Same WAL, same address: the client's reconnect loop finds it.
-    let server2 = tc.respawn_server(&[]);
+    let server2 = tc.respawn_server();
     let (ok, out) = tc.wait_exit(client, Duration::from_secs(120));
     assert!(ok, "client failed after server restart: {out}");
     assert!(
@@ -247,10 +246,7 @@ fn kill9_mid_sync_loses_nothing_and_reexecutes_nothing() {
 #[test]
 fn kill9_both_mid_flush_keeps_all_replied_commits() {
     const OPS: u64 = 6_000;
-    let mut tc = TestCluster::boot(
-        "bothdie",
-        &["--group-batch", "64", "--group-window-ms", "20"],
-    );
+    let mut tc = TestCluster::boot("bothdie");
     let progress = tc.dir.join("prog.txt");
     let client = tc.spawn_client(OPS, &progress, &[]);
 
@@ -268,16 +264,13 @@ fn kill9_both_mid_flush_keeps_all_replied_commits() {
     assert!(n <= OPS, "recovered more commits than were ever issued");
 }
 
-/// SIGTERM path: a graceful shutdown flushes the staged group-commit
-/// batch and checkpoints, so a per-window workload ends with durable
-/// state equal to everything committed.
+/// SIGTERM path: a graceful shutdown flushes any staged commits and
+/// checkpoints, so the workload ends with durable state equal to
+/// everything committed.
 #[test]
 fn sigterm_flushes_and_checkpoints_before_exit() {
     const OPS: u64 = 300;
-    let mut tc = TestCluster::boot(
-        "sigterm",
-        &["--group-batch", "32", "--group-window-ms", "5"],
-    );
+    let mut tc = TestCluster::boot("sigterm");
     let progress = tc.dir.join("prog.txt");
     let client = tc.spawn_client(OPS, &progress, &[]);
     let (ok, out) = tc.wait_exit(client, Duration::from_secs(60));

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use rand::Rng;
-use rover_log::{FlushPolicy, MemStore, OpLog, RecordKind};
+use rover_log::{GroupFlusher, MemStore, OpLog, RecordKind};
 use rover_net::{HostSched, LinkId, Net, SchedRef};
 use rover_script::Value;
 use rover_sim::{Sim, SimTime};
@@ -120,6 +120,16 @@ struct Outstanding {
 
 type Listener = Rc<RefCell<dyn FnMut(&mut Sim, &ClientEvent)>>;
 
+/// One issued QRPC waiting for its stable-log flush.
+struct StagedRequest {
+    req: u64,
+    /// Marshalled request: the log record and the wire bytes.
+    bytes: Bytes,
+    /// Local CPU work charged with the flush (pre-marshal delay plus
+    /// marshalling).
+    cpu: rover_sim::SimDuration,
+}
+
 /// The Rover client: access manager, cache, log, and QRPC engine.
 pub struct Client {
     cfg: ClientConfig,
@@ -135,15 +145,9 @@ pub struct Client {
     /// Outstanding import per object: concurrent imports of the same
     /// URN coalesce onto one QRPC (click-ahead users re-request pages).
     inflight_imports: HashMap<Urn, u64>,
-    /// Requests logged but awaiting a group-commit flush.
-    parked: Vec<u64>,
-    group_timer_armed: bool,
-    /// Generation stamp for the window timer: a size-cap flush retires
-    /// the armed timer's batch, and the stamp keeps that stale timer
-    /// from cutting the *next* batch's window short (mirrors the
-    /// server-side group-commit guard).
-    group_timer_gen: u64,
-    unflushed: usize,
+    /// Issued requests waiting for their stable-log flush; a request
+    /// reaches the network only once its batch is durable.
+    flusher: GroupFlusher<StagedRequest>,
     next_req: u64,
     next_session: u64,
     /// Incremented on every link-down transition; a request enqueued in
@@ -243,10 +247,10 @@ impl Client {
     /// dropped by the caller.
     pub fn crash(cl: &ClientRef) -> MemStore {
         let mut c = cl.borrow_mut();
-        let fresh = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false)
-            .expect("fresh in-memory log");
+        let fresh = OpLog::open(MemStore::new()).expect("fresh in-memory log");
         let old = std::mem::replace(&mut c.log, fresh);
         c.outstanding.clear();
+        c.flusher.reset();
         old.into_store().crash(None)
     }
 
@@ -262,8 +266,19 @@ impl Client {
         for &l in &links {
             HostSched::attach_link(&sched, net, l);
         }
-        let log = OpLog::open_with(store, FlushPolicy::Manual, cfg.log_compress)
-            .expect("in-memory log recovery cannot fail");
+        let log =
+            OpLog::open_with(store, cfg.log_compress).expect("in-memory log recovery cannot fail");
+        // One flush at a time: a request issued during a flush is
+        // marshalled with the next batch, so replies and local work
+        // interleave with a backlog of exports instead of queueing
+        // behind all of them.
+        let flusher = GroupFlusher::new(
+            match cfg.log_policy {
+                LogPolicy::GroupCommit { n } => n,
+                LogPolicy::PerOperation | LogPolicy::None => 1,
+            },
+            1,
+        );
         let client = Rc::new(RefCell::new(Client {
             cfg,
             net: net.clone(),
@@ -275,10 +290,7 @@ impl Client {
             outstanding: BTreeMap::new(),
             dirty_ops: HashMap::new(),
             inflight_imports: HashMap::new(),
-            parked: Vec::new(),
-            group_timer_armed: false,
-            group_timer_gen: 0,
-            unflushed: 0,
+            flusher,
             next_req: 1,
             next_session: 1,
             link_epoch: 0,
@@ -1176,7 +1188,7 @@ impl Client {
     ) -> Promise {
         let promise = Promise::new();
         let req_id = request.req_id;
-        let (ready, delay) = {
+        let batch = {
             let mut c = cl.borrow_mut();
             // Route before marshalling: replica-offloaded imports gain
             // their read-floor trailer here, so the logged bytes match
@@ -1186,60 +1198,6 @@ impl Client {
             let marshal = c.cfg.cpu.marshal_cost(bytes.len());
             sim.stats.sample_duration("client.marshal_ms", marshal);
 
-            // Stable-log handling per policy.
-            let (log_seq, flush_cost, ready) = match c.cfg.log_policy {
-                LogPolicy::None => (0, rover_sim::SimDuration::ZERO, vec![req_id.0]),
-                LogPolicy::PerOperation => {
-                    let seq = c
-                        .log
-                        .append(RecordKind::Request, bytes.clone())
-                        .expect("in-memory log append");
-                    let receipt = c.log.flush().expect("in-memory log flush");
-                    let cost = c.cfg.storage.flush_cost(receipt);
-                    sim.stats.sample_duration("client.flush_ms", cost);
-                    (seq, cost, vec![req_id.0])
-                }
-                LogPolicy::GroupCommit { n, timeout } => {
-                    let seq = c
-                        .log
-                        .append(RecordKind::Request, bytes.clone())
-                        .expect("in-memory log append");
-                    c.unflushed += 1;
-                    c.parked.push(req_id.0);
-                    if c.unflushed >= n {
-                        let receipt = c.log.flush().expect("flush");
-                        let cost = c.cfg.storage.flush_cost(receipt);
-                        sim.stats.sample_duration("client.flush_ms", cost);
-                        c.unflushed = 0;
-                        // The size cap beat the window timer to this
-                        // batch: retire the timer (generation bump) so
-                        // its eventual firing cannot cut the next
-                        // batch's window short.
-                        c.group_timer_armed = false;
-                        c.group_timer_gen += 1;
-                        let ready = std::mem::take(&mut c.parked);
-                        (seq, cost, ready)
-                    } else {
-                        if !c.group_timer_armed {
-                            c.group_timer_armed = true;
-                            c.group_timer_gen += 1;
-                            let gen = c.group_timer_gen;
-                            let cl2 = cl.clone();
-                            sim.schedule_after(timeout, move |sim| {
-                                let live = {
-                                    let c = cl2.borrow();
-                                    c.group_timer_armed && c.group_timer_gen == gen
-                                };
-                                if live {
-                                    Client::group_flush(&cl2, sim);
-                                }
-                            });
-                        }
-                        (seq, rover_sim::SimDuration::ZERO, Vec::new())
-                    }
-                }
-            };
-
             let epoch = c.link_epoch;
             let rto = c.cfg.rto;
             let dst = routed;
@@ -1247,7 +1205,7 @@ impl Client {
                 req_id.0,
                 Outstanding {
                     request,
-                    log_seq,
+                    log_seq: 0,
                     promise: promise.clone(),
                     urn: urn.clone(),
                     dst,
@@ -1264,41 +1222,70 @@ impl Client {
             if let Some(u) = &urn {
                 c.cache.pin(u, 1);
             }
-            let delay = c.charge_serial(sim.now(), extra_delay + marshal + flush_cost);
-            (ready, delay)
+            let cpu = extra_delay + marshal;
+            if c.cfg.log_policy == LogPolicy::None {
+                let delay = c.charge_serial(sim.now(), cpu);
+                let cl2 = cl.clone();
+                sim.schedule_after(delay, move |sim| {
+                    Client::enqueue_request(&cl2, sim, req_id.0, true);
+                });
+                None
+            } else {
+                // The client has nothing else about to stage: flush at
+                // once unless a flush is in flight, whose completion
+                // then starts this one.
+                c.flusher.stage(StagedRequest {
+                    req: req_id.0,
+                    bytes,
+                    cpu,
+                });
+                c.flusher.poll(false)
+            }
         };
         sim.stats.incr("client.qrpc_issued");
         sim.trace("qrpc", format!("issue req={} class={class:?}", req_id.0));
-
-        if !ready.is_empty() {
-            let cl2 = cl.clone();
-            sim.schedule_after(delay, move |sim| {
-                for id in ready {
-                    Client::enqueue_request(&cl2, sim, id, true);
-                }
-            });
+        if let Some(batch) = batch {
+            Client::flush_batch(cl, sim, batch);
         }
         promise
     }
 
-    /// Group-commit timeout: flush and release parked requests.
-    fn group_flush(cl: &ClientRef, sim: &mut Sim) {
-        let (ready, cost) = {
+    /// Makes one staged batch durable: appends its records and syncs
+    /// the log, charging the batch's marshalling plus the flush on the
+    /// serial CPU. When that work is done the batch goes to the network
+    /// and the flush completes — starting the next batch if requests
+    /// staged meanwhile. A request answered or abandoned while staged
+    /// (a link flap resends every outstanding request) is skipped: a
+    /// record appended for it now would never be retired, and a
+    /// post-crash recovery would re-issue it.
+    fn flush_batch(cl: &ClientRef, sim: &mut Sim, mut batch: Vec<StagedRequest>) {
+        let delay = {
             let mut c = cl.borrow_mut();
-            c.group_timer_armed = false;
-            if c.parked.is_empty() {
-                return;
+            batch.retain(|s| c.outstanding.contains_key(&s.req));
+            let mut cpu = rover_sim::SimDuration::ZERO;
+            for s in &batch {
+                let seq = c
+                    .log
+                    .append(RecordKind::Request, s.bytes.clone())
+                    .expect("in-memory log append");
+                if let Some(o) = c.outstanding.get_mut(&s.req) {
+                    o.log_seq = seq;
+                }
+                cpu += s.cpu;
             }
-            let receipt = c.log.flush().expect("flush");
+            let receipt = c.log.flush().expect("in-memory log flush");
             let cost = c.cfg.storage.flush_cost(receipt);
             sim.stats.sample_duration("client.flush_ms", cost);
-            c.unflushed = 0;
-            (std::mem::take(&mut c.parked), cost)
+            c.charge_serial(sim.now(), cpu + cost)
         };
         let cl2 = cl.clone();
-        sim.schedule_after(cost, move |sim| {
-            for id in ready {
-                Client::enqueue_request(&cl2, sim, id, true);
+        sim.schedule_after(delay, move |sim| {
+            for s in &batch {
+                Client::enqueue_request(&cl2, sim, s.req, true);
+            }
+            let next = cl2.borrow_mut().flusher.complete(false);
+            if let Some(next) = next {
+                Client::flush_batch(&cl2, sim, next);
             }
         });
     }

@@ -56,18 +56,20 @@ impl StorageModel {
     }
 }
 
-/// When the client forces QRPC log records to stable storage.
+/// How the client forces QRPC log records to stable storage.
+///
+/// Both logging policies run the same self-clocking flusher
+/// ([`rover_log::GroupFlusher`]): a QRPC issued while no flush is in
+/// flight flushes at once, and QRPCs issued during a flush share the
+/// next one. They differ only in the batch cap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LogPolicy {
-    /// Flush on every QRPC (the paper's prototype).
+    /// One record per flush (the paper's prototype): cap 1.
     PerOperation,
-    /// Group commit: flush when `n` records have accumulated or after
-    /// `timeout` since the first unflushed record, whichever is first.
+    /// Group commit: up to `n` records per flush.
     GroupCommit {
-        /// Records per group.
+        /// Most records one flush carries.
         n: usize,
-        /// Maximum time a record may sit unflushed.
-        timeout: SimDuration,
     },
     /// No stable log at all (ablation lower bound: queued requests do
     /// not survive a crash).
@@ -156,38 +158,6 @@ impl ClientConfig {
     }
 }
 
-/// When the server makes executed commits durable and schedules their
-/// replies.
-///
-/// The paper lists group commit as not-implemented future work (§5.2);
-/// the per-operation policy reproduces the prototype's one-flush-per-
-/// QRPC critical path, and [`CommitPolicy::Group`] is the amortized
-/// engine: executed requests stage their commit records into a pending
-/// batch, one flush commits the whole group as a *single* WAL record,
-/// and only then are the group's replies scheduled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommitPolicy {
-    /// One synchronous WAL flush per executed QRPC (the paper's
-    /// prototype; the default).
-    PerOperation,
-    /// Group commit: flush the pending batch when `max_batch` commits
-    /// have staged or `window` after the first one staged, whichever
-    /// comes first.
-    Group {
-        /// Commits per group before a size-triggered flush.
-        max_batch: usize,
-        /// Maximum time the oldest staged commit may wait unflushed.
-        window: SimDuration,
-    },
-}
-
-impl CommitPolicy {
-    /// True when this policy batches commits.
-    pub fn is_group(&self) -> bool {
-        matches!(self, CommitPolicy::Group { .. })
-    }
-}
-
 /// Server-side configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -214,9 +184,12 @@ pub struct ServerConfig {
     /// log and compacts everything older. `0` disables automatic
     /// checkpoints (the log grows until compacted explicitly).
     pub checkpoint_every: usize,
-    /// Commit/flush/reply policy for the write-ahead log; only
-    /// meaningful when a log is attached.
-    pub commit: CommitPolicy,
+    /// Most commits one write-ahead-log flush carries (a single WAL
+    /// record, written by [`rover_log::GroupFlusher`] before any of its
+    /// replies leave); only meaningful when a log is attached. `1` (the
+    /// default) is the paper's per-operation commit; group commit is
+    /// its §5.2 future work.
+    pub commit_batch: usize,
     /// Hot-set replication factor K: each epoch the shard publishes its
     /// K hottest home objects to its federation peers as volatile,
     /// version-stamped read replicas. `0` (the default) disables the
@@ -238,7 +211,7 @@ impl ServerConfig {
             mtu: rover_net::DEFAULT_MTU,
             storage: StorageModel::SERVER_DISK_1995,
             checkpoint_every: 64,
-            commit: CommitPolicy::PerOperation,
+            commit_batch: 1,
             replicate_hot: 0,
         }
     }

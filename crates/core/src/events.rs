@@ -116,9 +116,10 @@ pub enum ServerEvent {
         /// Device size in bytes after compaction.
         device_bytes: u64,
     },
-    /// A group-commit batch was flushed durably as one WAL record
-    /// ([`crate::CommitPolicy::Group`]); its replies are now eligible to
-    /// leave the host.
+    /// A commit batch was flushed durably as one WAL record (up to
+    /// [`crate::ServerConfig::commit_batch`] commits; one under
+    /// per-operation commit); its replies are now eligible to leave the
+    /// host.
     GroupCommit {
         /// Commits made durable by this flush.
         records: usize,

@@ -78,7 +78,7 @@ mod urn;
 pub use cache::{Cache, CacheEntry};
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointImage};
 pub use client::{Client, ClientRef, ExportHandle, Placement, PlacementHints, PollGuard};
-pub use config::{ClientConfig, CommitPolicy, LogPolicy, ServerConfig, StorageModel};
+pub use config::{ClientConfig, LogPolicy, ServerConfig, StorageModel};
 pub use error::RoverError;
 pub use events::{ClientEvent, ServerEvent};
 pub use hotset::HotSet;

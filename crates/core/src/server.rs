@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use rover_log::{FlushPolicy, FlushReceipt, LogError, OpLog, RecordKind, StableStore};
+use rover_log::{FlushReceipt, GroupFlusher, LogError, OpLog, RecordKind, StableStore};
 use rover_net::{HostSched, LinkId, Net, SchedRef, SmtpRelay, SmtpRelayRef};
 use rover_sim::Sim;
 use rover_wire::{
@@ -31,7 +31,7 @@ use rover_wire::{
     Version, Wire,
 };
 
-use crate::config::{CommitPolicy, ServerConfig};
+use crate::config::ServerConfig;
 use crate::events::ServerEvent;
 use crate::hotset::HotSet;
 use crate::object::RoverObject;
@@ -45,12 +45,14 @@ pub type ServerRef = Rc<RefCell<Server>>;
 
 type ServerListener = Rc<RefCell<dyn FnMut(&mut Sim, &ServerEvent)>>;
 
-/// Write-ahead-log record kind: one [`CommitRecord`].
+/// Write-ahead-log record kind: one [`CommitRecord`]. Only older
+/// builds wrote it (every batch is now a [`REC_COMMIT_BATCH`], one
+/// commit under per-operation commit); recovery still replays it.
 const REC_COMMIT: RecordKind = RecordKind::Other(0x10);
 /// Write-ahead-log record kind: a full state snapshot (the `ROV1`
 /// checkpoint image produced by [`Server::export_store`]).
 const REC_CHECKPOINT: RecordKind = RecordKind::Other(0x11);
-/// Write-ahead-log record kind: one group-commit batch — several
+/// Write-ahead-log record kind: one commit batch — one or more
 /// [`CommitRecord`]s framed as a *single* record
 /// ([`rover_wire::encode_commit_batch`]), so the frame CRC covers the
 /// whole group and a torn tail discards the batch atomically.
@@ -71,20 +73,20 @@ fn hot_capacity(k: usize) -> usize {
 /// [`Server::script_crash`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CrashPoint {
-    /// Crash before the commit record is appended: the execution's
-    /// effects are lost with the volatile state; after recovery the
-    /// client's retransmission executes freshly (a *first* execution —
-    /// nothing was ever committed or replied).
+    /// Crash before the commit executes: its effects are lost with the
+    /// volatile state; after recovery the client's retransmission
+    /// executes freshly (a *first* execution — nothing was ever
+    /// committed or replied).
     BeforeAppend,
-    /// Crash after the commit record is appended but before the reply
-    /// is sent. Under per-operation flush the record is already durable:
-    /// after recovery the client's retransmission hits the recovered
-    /// dedup cache and replays the original reply — never a
-    /// re-execution. Under group commit ([`CommitPolicy::Group`]) the
-    /// record has only *staged* into the pending batch — a crash between
-    /// execute and the group flush — so nothing is durable, no reply
-    /// ever left, and the retransmission executes freshly.
-    AfterAppend,
+    /// Crash once the commit has executed and staged for its batch,
+    /// before the batch is durable: nothing is durable, no reply ever
+    /// left, and the retransmission executes freshly.
+    AfterStage,
+    /// Crash once the commit's batch is durable, before any of the
+    /// batch's replies leaves: after recovery the client's
+    /// retransmission hits the recovered dedup cache and replays the
+    /// original reply — never a re-execution.
+    AfterFlush,
 }
 
 /// The attached write-ahead commit log.
@@ -96,10 +98,9 @@ struct Wal {
     commits_since_ckpt: usize,
 }
 
-/// One executed-but-not-yet-durable commit staged in the pending
-/// group-commit batch ([`CommitPolicy::Group`]). Its reply (cached in
-/// `rec.reply`) may not leave the host before the group flush
-/// completes.
+/// One executed-but-not-yet-durable commit staged for the next WAL
+/// flush. Its reply (cached in `rec.reply`) may not leave the host
+/// before its batch is durable.
 struct PendingCommit {
     /// The durable record this commit contributes to the batch; the
     /// object image is captured at stage time, so later staged commits
@@ -115,6 +116,8 @@ struct PendingCommit {
     /// When this commit's execute + reply-marshal CPU work completes;
     /// the reply leaves at the *later* of this and the flush.
     cpu_done: rover_sim::SimTime,
+    /// Lifetime commit ordinal (the scripted-crash key).
+    ordinal: u64,
 }
 
 /// How replies reach one client.
@@ -162,22 +165,23 @@ pub struct Server {
     wfr_held: HashMap<Urn, Vec<QrpcRequest>>,
     /// Single-CPU serialization horizon for execution costs.
     cpu_free_at: rover_sim::SimTime,
-    /// Disk serialization horizon for group flushes: the commit path is
+    /// Disk serialization horizon for WAL flushes: the commit path is
     /// pipelined, so the CPU executes the next requests while the disk
     /// syncs the previous batch.
     disk_free_at: rover_sim::SimTime,
-    /// Executed commits staged for the next group flush
-    /// ([`CommitPolicy::Group`]); empty under per-operation flush.
-    pending: Vec<PendingCommit>,
-    /// True while a window timer for the current pending batch is
-    /// outstanding.
-    group_timer_armed: bool,
-    /// Window-timer generation: a timer only fires for the batch that
-    /// armed it (a size-cap flush plus a fresh batch would otherwise
-    /// be cut short by the stale timer).
-    group_timer_gen: u64,
-    /// Bumped on every crash/recovery; in-flight flush-dispatch and
-    /// window-timer events captured under an older incarnation no-op.
+    /// Executed commits staged for the WAL, and the in-flight flush.
+    flusher: GroupFlusher<PendingCommit>,
+    /// Staged or flushing commits per client, whose replies have not
+    /// been dispatched.
+    undispatched: HashMap<HostId, usize>,
+    /// Durable replies waiting for their client's next dispatched batch.
+    reply_wait: HashMap<HostId, Vec<(QrpcReply, rover_wire::Priority)>>,
+    /// Requests received whose execution event has not fired yet: while
+    /// any remain, more commits are about to stage, so a batch below
+    /// the cap waits for them.
+    arrivals: usize,
+    /// Bumped on every crash/recovery; flush-completion events captured
+    /// under an older incarnation no-op.
     incarnation: u64,
     /// Clients holding an imported copy of each object (callback set).
     importers: HashMap<Urn, std::collections::HashSet<u32>>,
@@ -228,6 +232,7 @@ impl Server {
     /// Creates a server and registers its request handler on the
     /// network.
     pub fn new(net: &Net, cfg: ServerConfig) -> ServerRef {
+        let cfg_batch = cfg.commit_batch;
         let server = Rc::new(RefCell::new(Server {
             cfg,
             net: net.clone(),
@@ -243,9 +248,12 @@ impl Server {
             wfr_held: HashMap::new(),
             cpu_free_at: rover_sim::SimTime::ZERO,
             disk_free_at: rover_sim::SimTime::ZERO,
-            pending: Vec::new(),
-            group_timer_armed: false,
-            group_timer_gen: 0,
+            // Full batches queue on the disk horizon at once, so the stage
+            // never holds more than one partial batch.
+            flusher: GroupFlusher::new(cfg_batch, usize::MAX),
+            undispatched: HashMap::new(),
+            reply_wait: HashMap::new(),
+            arrivals: 0,
             incarnation: 0,
             importers: HashMap::new(),
             replicas: HashMap::new(),
@@ -402,10 +410,10 @@ impl Server {
             .collect()
     }
 
-    /// Requests queued at this server right now: staged group commits
-    /// plus ordered-write and writes-follow-reads holds.
+    /// Requests queued at this server right now: staged commits plus
+    /// ordered-write and writes-follow-reads holds.
     pub fn queue_depth(&self) -> usize {
-        self.pending.len()
+        self.flusher.staged().count()
             + self.held.values().map(|m| m.len()).sum::<usize>()
             + self.wfr_held.values().map(Vec::len).sum::<usize>()
     }
@@ -548,7 +556,7 @@ impl Server {
         Ok(Some(receipt))
     }
 
-    /// The source side of a rebalancing move: flushes any staged group
+    /// The source side of a rebalancing move: flushes any staged commits
     /// (WAL order — every commit made here precedes the departure),
     /// removes `urn` from the store, appends a durable migration
     /// tombstone, and returns the object image for
@@ -562,11 +570,8 @@ impl Server {
         if sv.borrow().crashed {
             return None;
         }
-        if !sv.borrow().pending.is_empty() {
-            Server::group_flush(sv, sim);
-            if sv.borrow().crashed {
-                return None;
-            }
+        if !Server::flush_staged(sv, sim) {
+            return None;
         }
         let (obj, res) = {
             let mut s = sv.borrow_mut();
@@ -600,6 +605,7 @@ impl Server {
             sim.stats.incr("server.wfr_drained");
             Server::admit(sv, sim, r);
         }
+        Server::pump(sv, sim, false);
         Some(obj)
     }
 
@@ -641,6 +647,7 @@ impl Server {
         }
         sim.stats.incr("server.migrated_in");
         Server::drain_wfr(sv, sim, Some(&urn));
+        Server::pump(sv, sim, false);
         true
     }
 
@@ -795,8 +802,7 @@ impl Server {
         if sv.borrow().wal.is_some() {
             return Err(crate::RoverError::Log("wal already attached".into()));
         }
-        let log =
-            OpLog::open_with(store, FlushPolicy::Manual, false).map_err(crate::RoverError::from)?;
+        let log = OpLog::open(store).map_err(crate::RoverError::from)?;
         if log.is_empty() && log.tail_skipped_bytes() == 0 {
             sv.borrow_mut().wal = Some(Wal {
                 log,
@@ -880,9 +886,9 @@ impl Server {
             // Staged-but-unflushed commits die with the volatile state:
             // no reply ever left for them, so their clients retransmit
             // and re-execute freshly after recovery.
-            let staged_lost = s.pending.len() as u64;
-            s.pending.clear();
-            s.group_timer_armed = false;
+            let staged_lost = s.flusher.reset() as u64;
+            s.undispatched.clear();
+            s.reply_wait.clear();
             s.incarnation += 1;
             // Replicas die with the volatile state, and the shared
             // directory must stop routing reads at a dead holder.
@@ -946,8 +952,7 @@ impl Server {
         if wfr_dropped > 0 {
             sim.stats.add("server.wfr_dropped_on_recovery", wfr_dropped);
         }
-        let log =
-            OpLog::open_with(store, FlushPolicy::Manual, false).map_err(crate::RoverError::from)?;
+        let log = OpLog::open(store).map_err(crate::RoverError::from)?;
         Server::recover_from_log(sv, sim, log, held_dropped)
     }
 
@@ -1034,11 +1039,12 @@ impl Server {
             // The reboot's recovery scan reads the whole device; charge
             // it like any other serial work, starting from fresh CPU and
             // disk horizons (the old ones died with the machine). Any
-            // staged batch or armed window timer is stale too.
+            // staged batch or in-flight flush is stale too.
             s.cpu_free_at = sim.now();
             s.disk_free_at = sim.now();
-            s.pending.clear();
-            s.group_timer_armed = false;
+            s.flusher.reset();
+            s.undispatched.clear();
+            s.reply_wait.clear();
             s.incarnation += 1;
             let scan = s.cfg.cpu.marshal_cost(device_bytes as usize);
             let cost = s.charge_serial(sim.now(), scan);
@@ -1130,50 +1136,68 @@ impl Server {
         }
     }
 
-    /// Appends this commit's record to the WAL and syncs it; the receipt
-    /// prices the flush on the virtual clock.
-    fn wal_append_commit(
-        &mut self,
-        req: &QrpcRequest,
-        urn: Option<&Urn>,
-        session_seq: u64,
-        reply: &QrpcReply,
-    ) -> Result<FlushReceipt, LogError> {
-        let rec = self.make_commit_record(req, urn, session_seq, reply);
-        let wal = self.wal.as_mut().expect("wal attached");
-        wal.log.append(REC_COMMIT, rec.to_bytes())?;
-        let receipt = wal.log.flush()?;
-        wal.commits_since_ckpt += 1;
-        Ok(receipt)
-    }
-
-    /// True while `key`'s original execution sits in the unflushed
-    /// pending batch — its reply exists but is not yet durable, so it
-    /// must not be replayed to a retransmission.
+    /// True while `key`'s original execution is staged for the WAL —
+    /// its reply exists but is not yet durable, so it must not be
+    /// replayed to a retransmission. The stage holds less than one
+    /// batch, so the scan is bounded by the cap.
     fn pending_contains(&self, key: (u32, u64)) -> bool {
-        self.pending
-            .iter()
+        self.flusher
+            .staged()
             .any(|p| p.rec.client.0 == key.0 && p.rec.req_id.0 == key.1)
     }
 
-    /// Flushes the pending group: the whole batch becomes durable as one
-    /// WAL record, then — and only then — its replies are scheduled.
-    /// The flush occupies the *disk* timeline; the CPU keeps executing
-    /// requests that stage into the next batch meanwhile (the pipeline).
-    fn group_flush(sv: &ServerRef, sim: &mut Sim) {
+    /// Starts a flush if a batch is ready: a full one always is; a
+    /// partial one is when no flush is in flight and — with
+    /// `more_coming` false — nothing else is about to stage. Entry
+    /// points that may have staged commits call this last, with
+    /// `more_coming` set while received requests still wait to execute.
+    fn pump(sv: &ServerRef, sim: &mut Sim, more_coming: bool) {
         let batch = {
             let mut s = sv.borrow_mut();
-            s.group_timer_armed = false;
-            if s.crashed || s.pending.is_empty() {
+            if s.crashed {
                 return;
             }
-            std::mem::take(&mut s.pending)
+            s.flusher.poll(more_coming)
         };
-        let records: Vec<CommitRecord> = batch.iter().map(|p| p.rec.clone()).collect();
+        if let Some(batch) = batch {
+            Server::write_batch(sv, sim, batch);
+        }
+    }
+
+    /// Writes every staged commit now, in cap-sized batches, regardless
+    /// of in-flight flushes: shutdown and migration records must follow
+    /// every commit executed before them. Returns `false` if a write
+    /// crashed the host.
+    fn flush_staged(sv: &ServerRef, sim: &mut Sim) -> bool {
+        loop {
+            let batch = {
+                let mut s = sv.borrow_mut();
+                if s.crashed {
+                    return false;
+                }
+                s.flusher.force()
+            };
+            let Some(batch) = batch else { return true };
+            if !Server::write_batch(sv, sim, batch) {
+                return false;
+            }
+        }
+    }
+
+    /// Appends and syncs one batch as a single WAL record. The flush
+    /// occupies the *disk* timeline, queued behind earlier flushes; the
+    /// CPU keeps executing requests that stage into the next batch
+    /// meanwhile (the pipeline). The batch's replies leave once both
+    /// the flush and the batch's own CPU work are done, and its
+    /// completion may start the next batch. Checkpoints when due and
+    /// nothing is staged. Returns `false` if the write (or a crash
+    /// scripted after it) brought the host down.
+    fn write_batch(sv: &ServerRef, sim: &mut Sim, batch: Vec<PendingCommit>) -> bool {
         let res = {
             let mut s = sv.borrow_mut();
+            let records: Vec<CommitRecord> = batch.iter().map(|p| p.rec.clone()).collect();
             let payload = encode_commit_batch(&records);
-            let wal = s.wal.as_mut().expect("group commit requires a wal");
+            let wal = s.wal.as_mut().expect("staged commits require a wal");
             wal.log
                 .append(REC_COMMIT_BATCH, payload)
                 .and_then(|_| wal.log.flush())
@@ -1183,15 +1207,15 @@ impl Server {
             Err(e) => {
                 // A failed append or sync mid-batch is a crash: the
                 // device may hold a torn frame (recovery discards the
-                // whole batch), and no reply in the group ever leaves.
-                // The batch was already taken out of `pending`, so
-                // account its loss here rather than in `crash`.
+                // whole batch), and no reply in the batch ever leaves.
+                // The batch already left the flusher, so account its
+                // loss here rather than in `crash`.
                 sim.stats.incr("server.wal_append_failed");
                 sim.stats
                     .add("server.staged_lost_on_crash", batch.len() as u64);
-                sim.trace("server", format!("group flush failed: {e}; crashing"));
+                sim.trace("server", format!("wal flush failed: {e}; crashing"));
                 Server::crash(sv, sim);
-                return;
+                return false;
             }
         };
         let n = batch.len();
@@ -1200,9 +1224,6 @@ impl Server {
         sim.stats.sample("server.group_commit_batch_size", n as f64);
         sim.stats
             .add("server.wal_flush_bytes", receipt.bytes as u64);
-        // Serialize the flush on the disk horizon and hold every reply
-        // in the group until both the flush and that commit's own CPU
-        // work are done.
         let (done, fire_delay) = {
             let mut s = sv.borrow_mut();
             s.wal.as_mut().expect("wal attached").commits_since_ckpt += n;
@@ -1222,6 +1243,16 @@ impl Server {
             sim.stats
                 .sample_duration("server.flush_wait_ms", done.since(p.staged_at));
         }
+        // Crash scripted *after* the flush: the batch is durable but no
+        // reply leaves — after recovery the client's retransmission
+        // hits the recovered dedup cache.
+        if batch
+            .iter()
+            .any(|p| sv.borrow().crash_due(p.ordinal, CrashPoint::AfterFlush))
+        {
+            Server::crash(sv, sim);
+            return false;
+        }
         Server::emit(
             sv,
             sim,
@@ -1232,29 +1263,42 @@ impl Server {
         );
         let inc = sv.borrow().incarnation;
         let sv2 = sv.clone();
+        sim.schedule_after(done.since(sim.now()), move |sim| {
+            // Durable: once the disk drains, the commits that staged
+            // meanwhile form the next batch.
+            let next = {
+                let mut s = sv2.borrow_mut();
+                if s.crashed || s.incarnation != inc {
+                    return;
+                }
+                let more_coming = s.arrivals > 0;
+                s.flusher.complete(more_coming)
+            };
+            if let Some(next) = next {
+                Server::write_batch(&sv2, sim, next);
+            }
+        });
+        let sv2 = sv.clone();
         sim.schedule_after(fire_delay, move |sim| {
             Server::dispatch_batch(&sv2, sim, inc, batch);
         });
-
-        // Checkpoint when due — the pending batch is empty here, so the
-        // snapshot can never strand half a group.
+        // The snapshot must not bake in staged, undurable commits.
         let due = {
             let s = sv.borrow();
             s.cfg.checkpoint_every > 0
+                && s.flusher.staged().next().is_none()
                 && s.wal
                     .as_ref()
                     .is_some_and(|w| w.commits_since_ckpt >= s.cfg.checkpoint_every)
         };
-        if due {
-            let _ = Server::write_checkpoint(sv, sim);
-        }
+        !due || Server::write_checkpoint(sv, sim).is_ok()
     }
 
-    /// Graceful-shutdown path: durably flushes any staged group-commit
-    /// batch, then writes a checkpoint so the next recovery replays
-    /// nothing. Replies for the flushed batch are scheduled as usual —
-    /// whether they leave before the process exits is immaterial, since
-    /// the commits are durable and retransmissions replay their replies
+    /// Graceful-shutdown path: durably flushes every staged commit,
+    /// then writes a checkpoint so the next recovery replays nothing.
+    /// Replies for the flushed batches are scheduled as usual — whether
+    /// they leave before the process exits is immaterial, since the
+    /// commits are durable and retransmissions replay their replies
     /// from the dedup table after restart.
     ///
     /// A no-op on a crashed server or one without a WAL.
@@ -1262,17 +1306,16 @@ impl Server {
         if sv.borrow().crashed || sv.borrow().wal.is_none() {
             return;
         }
-        Server::group_flush(sv, sim);
         // A WAL fault during the flush crashes the server; don't follow
         // a failed flush with a checkpoint of un-replayable state.
-        if !sv.borrow().crashed {
+        if Server::flush_staged(sv, sim) {
             let _ = Server::write_checkpoint(sv, sim);
         }
     }
 
-    /// Sends the replies of one durably committed group, coalescing the
+    /// Sends the replies of one durably committed batch, coalescing the
     /// per-client runs into single [`ReplyBatch`] envelopes, then fans
-    /// out the group's deferred invalidation callbacks.
+    /// out the batch's deferred invalidation callbacks.
     fn dispatch_batch(sv: &ServerRef, sim: &mut Sim, inc: u64, batch: Vec<PendingCommit>) {
         {
             let s = sv.borrow();
@@ -1287,28 +1330,46 @@ impl Server {
         }
         let host = sv.borrow().cfg.host;
         // Group by client, preserving commit order within each run.
-        let mut groups: Vec<(HostId, Vec<&PendingCommit>)> = Vec::new();
+        let mut groups: Vec<(HostId, Vec<(QrpcReply, rover_wire::Priority)>)> = Vec::new();
         for p in &batch {
+            let r = (p.rec.reply.clone(), p.prio);
             match groups.iter_mut().find(|(c, _)| *c == p.rec.client) {
-                Some((_, v)) => v.push(p),
-                None => groups.push((p.rec.client, vec![p])),
+                Some((_, v)) => v.push(r),
+                None => groups.push((p.rec.client, vec![r])),
             }
         }
-        for (client, ps) in groups {
-            if ps.len() == 1 {
-                Server::send_reply(sv, sim, client, ps[0].rec.reply.clone(), ps[0].prio);
+        for (client, mut replies) in groups {
+            // A client with a later commit still undispatched gets
+            // these replies with that commit's batch, in one envelope —
+            // but only while at most one flush is in flight, so a reply
+            // never waits behind a deep disk queue, and never twice.
+            let mut s = sv.borrow_mut();
+            let left = s.undispatched.remove(&client).unwrap_or(0) - replies.len();
+            if left > 0 {
+                s.undispatched.insert(client, left);
+            }
+            if let Some(mut waiting) = s.reply_wait.remove(&client) {
+                waiting.append(&mut replies);
+                replies = waiting;
+            } else if left > 0 && s.flusher.in_flight() <= 1 {
+                s.reply_wait.insert(client, replies);
+                continue;
+            }
+            drop(s);
+            if let [(reply, prio)] = &replies[..] {
+                Server::send_reply(sv, sim, client, reply.clone(), *prio);
             } else {
                 // One envelope, many replies: the client decodes them in
                 // order. The envelope travels at the most urgent of the
                 // coalesced priorities.
-                let prio = ps.iter().map(|p| p.prio).min().expect("non-empty run");
+                let prio = replies.iter().map(|r| r.1).min().expect("non-empty run");
+                let n = replies.len() as u64;
                 let rb = ReplyBatch {
-                    replies: ps.iter().map(|p| p.rec.reply.clone()).collect(),
+                    replies: replies.into_iter().map(|r| r.0).collect(),
                 };
                 let env = Envelope::reply_batch(host, client, &rb);
-                sim.stats
-                    .add("server.reply_coalesced", (ps.len() - 1) as u64);
-                Server::route_reply(sv, sim, client, env, prio, ps.len() as u64);
+                sim.stats.add("server.reply_coalesced", n - 1);
+                Server::route_reply(sv, sim, client, env, prio, n);
             }
         }
         for p in &batch {
@@ -1318,9 +1379,9 @@ impl Server {
         }
     }
 
-    /// Group-commit staging: charges the execute/marshal CPU (no flush
-    /// on the critical path), stages the commit record into the pending
-    /// batch, and triggers a size-cap flush or arms the window timer.
+    /// Commit staging: charges the execute/marshal CPU (no flush on the
+    /// critical path) and stages the commit record for the WAL; a full
+    /// batch starts its flush at once.
     #[allow(clippy::too_many_arguments)]
     fn stage_commit(
         sv: &ServerRef,
@@ -1334,7 +1395,7 @@ impl Server {
     ) {
         let committed = matches!(req.op, RoverOp::Export { .. })
             && matches!(reply.status, OpStatus::Ok | OpStatus::Resolved);
-        let (total, flush_now, arm, window) = {
+        let total = {
             let mut s = sv.borrow_mut();
             let raw = s.cfg.cpu.interp_cost(steps) + s.cfg.cpu.marshal_cost(reply.payload.len());
             let total = s.charge_serial(sim.now(), raw);
@@ -1344,56 +1405,27 @@ impl Server {
                 None
             };
             let rec = s.make_commit_record(req, parsed.as_ref(), ordered_seq, &reply);
-            s.pending.push(PendingCommit {
+            *s.undispatched.entry(rec.client).or_default() += 1;
+            s.flusher.stage(PendingCommit {
                 rec,
                 prio: req.priority,
                 notify,
                 staged_at: sim.now(),
                 cpu_done: sim.now() + total,
+                ordinal,
             });
-            let CommitPolicy::Group { max_batch, window } = s.cfg.commit else {
-                unreachable!("stage_commit requires a group policy");
-            };
-            let flush_now = s.pending.len() >= max_batch.max(1);
-            let arm = !flush_now && s.pending.len() == 1;
-            (total, flush_now, arm, window)
+            total
         };
         sim.stats.sample_duration("server.exec_ms", total);
         sim.stats.incr("server.requests");
-        // Crash scripted *after* the append-stage: the batch was never
-        // flushed, so nothing is durable and no reply ever leaves —
-        // after recovery the client's retransmission executes freshly.
-        if sv.borrow().crash_due(ordinal, CrashPoint::AfterAppend) {
+        // Crash scripted *after* staging: the batch was never flushed,
+        // so nothing is durable and no reply ever leaves — after
+        // recovery the client's retransmission executes freshly.
+        if sv.borrow().crash_due(ordinal, CrashPoint::AfterStage) {
             Server::crash(sv, sim);
             return;
         }
-        if flush_now {
-            Server::group_flush(sv, sim);
-        } else if arm {
-            // First commit into an empty batch: bound its wait with the
-            // window timer. The generation guard keeps a stale timer
-            // (whose batch a size-cap flush already committed) from
-            // cutting the *next* batch short.
-            let (inc, gen) = {
-                let mut s = sv.borrow_mut();
-                s.group_timer_armed = true;
-                s.group_timer_gen += 1;
-                (s.incarnation, s.group_timer_gen)
-            };
-            let sv2 = sv.clone();
-            sim.schedule_after(window, move |sim| {
-                let live = {
-                    let s = sv2.borrow();
-                    !s.crashed
-                        && s.incarnation == inc
-                        && s.group_timer_armed
-                        && s.group_timer_gen == gen
-                };
-                if live {
-                    Server::group_flush(&sv2, sim);
-                }
-            });
-        }
+        Server::pump(sv, sim, true);
     }
 
     /// Snapshots the full server state into the log as a checkpoint
@@ -1441,9 +1473,12 @@ impl Server {
     /// compaction failed non-fatally).
     fn checkpoint_inner(&mut self) -> Result<(u64, usize, bool), LogError> {
         // A snapshot with staged-but-unflushed commits baked in would
-        // make an undurable group visible to recovery; every call site
-        // flushes or empties the batch first.
-        debug_assert!(self.pending.is_empty(), "checkpoint with staged commits");
+        // make an undurable batch visible to recovery; every call site
+        // flushes or empties the stage first.
+        debug_assert!(
+            self.flusher.staged().next().is_none(),
+            "checkpoint with staged commits"
+        );
         let snap = self.export_store();
         let written = snap.len();
         let wal = self
@@ -1493,27 +1528,35 @@ impl Server {
             sim.stats.incr("server.dropped_while_crashed");
             return;
         }
-        // Charge unmarshalling cost, then process.
+        // Charge unmarshalling cost, then process. Until then the
+        // request counts as an arrival: its commit is about to stage.
         let cost = {
             let mut s = sv.borrow_mut();
+            s.arrivals += 1;
             let m = s.cfg.cpu.marshal_cost(env.body.len());
             s.charge_serial(sim.now(), m)
         };
         let sv2 = sv.clone();
         sim.schedule_after(cost, move |sim| {
-            if sv2.borrow().crashed {
+            let crashed = {
+                let mut s = sv2.borrow_mut();
+                s.arrivals -= 1;
+                s.crashed
+            };
+            if crashed {
                 sim.stats.incr("server.dropped_while_crashed");
                 return;
             }
-            let req = match QrpcRequest::from_shared(&env.body) {
-                Ok(r) => r,
+            match QrpcRequest::from_shared(&env.body) {
+                Ok(req) => Server::admit(&sv2, sim, req),
                 Err(_) => {
                     sim.stats.incr("server.bad_request");
                     sim.stats.incr("wire.decode_rejected.request");
-                    return;
                 }
-            };
-            Server::admit(&sv2, sim, req);
+            }
+            // The last received request has run: flush what it staged.
+            let more_coming = sv2.borrow().arrivals > 0;
+            Server::pump(&sv2, sim, more_coming);
         });
     }
 
@@ -1564,13 +1607,15 @@ impl Server {
         // the duplicate instead, and the client's next retransmission
         // finds either a durably flushed dedup entry or (after a crash)
         // no trace of the request at all.
+        // A staged commit already has its dedup entry, so only a dedup
+        // hit scans the stage.
         let key = (req.client.0, req.req_id.0);
-        if sv.borrow().pending_contains(key) {
-            sim.stats.incr("server.dup_while_staged");
-            return;
-        }
         let cached = sv.borrow().dedup.get(&key).cloned();
         if let Some(reply) = cached {
+            if sv.borrow().pending_contains(key) {
+                sim.stats.incr("server.dup_while_staged");
+                return;
+            }
             sim.stats.incr("server.dedup_replay");
             sim.trace("server", format!("dedup replay req={}", req.req_id.0));
             Server::send_reply(sv, sim, req.client, reply, req.priority);
@@ -1796,43 +1841,6 @@ impl Server {
             _ => {}
         }
 
-        // Under a group policy the commit stages into the pending batch
-        // below; durability and the reply wait for the group flush.
-        let group = wal_bound && sv.borrow().cfg.commit.is_group();
-
-        // Per-operation durability point: the commit record reaches
-        // stable storage before any reply is scheduled. A failed append
-        // or sync is a mid-flush crash — the host goes down with a
-        // possibly-torn frame on the device, which recovery truncates.
-        let mut wal_cost = rover_sim::SimDuration::ZERO;
-        if wal_bound && !group {
-            let res = {
-                let mut s = sv.borrow_mut();
-                s.wal_append_commit(&req, parsed.as_ref(), ordered_seq, &reply)
-            };
-            match res {
-                Ok(receipt) => {
-                    sim.stats.incr("server.wal_appends");
-                    sim.stats
-                        .add("server.wal_flush_bytes", receipt.bytes as u64);
-                    wal_cost = sv.borrow().cfg.storage.flush_cost(receipt);
-                }
-                Err(e) => {
-                    sim.stats.incr("server.wal_append_failed");
-                    sim.trace("server", format!("wal append failed: {e}; crashing"));
-                    Server::crash(sv, sim);
-                    return;
-                }
-            }
-            // Crash scripted *after* the append: the commit is durable
-            // but the reply never leaves — after recovery the client's
-            // retransmission hits the recovered dedup cache.
-            if sv.borrow().crash_due(ordinal, CrashPoint::AfterAppend) {
-                Server::crash(sv, sim);
-                return;
-            }
-        }
-
         // Record dedup + ordering bookkeeping.
         {
             let mut s = sv.borrow_mut();
@@ -1877,7 +1885,7 @@ impl Server {
             }
         }
 
-        if group {
+        if wal_bound {
             Server::stage_commit(
                 sv,
                 sim,
@@ -1896,32 +1904,11 @@ impl Server {
             return;
         }
 
-        // Checkpoint when due; a failed checkpoint crashes the host
-        // (the commit above is already durable, so the unsent reply is
-        // recovered into the dedup cache and replayed on retransmit).
-        if wal_bound {
-            let due = {
-                let s = sv.borrow();
-                s.cfg.checkpoint_every > 0
-                    && s.wal
-                        .as_ref()
-                        .is_some_and(|w| w.commits_since_ckpt >= s.cfg.checkpoint_every)
-            };
-            if due {
-                let _ = Server::write_checkpoint(sv, sim);
-                if sv.borrow().crashed {
-                    return;
-                }
-            }
-        }
-
-        // Charge execution + reply marshalling + the commit flush, then
+        // Volatile server: charge execution + reply marshalling, then
         // transmit.
         let total = {
             let mut s = sv.borrow_mut();
-            let raw = s.cfg.cpu.interp_cost(steps)
-                + s.cfg.cpu.marshal_cost(reply.payload.len())
-                + wal_cost;
+            let raw = s.cfg.cpu.interp_cost(steps) + s.cfg.cpu.marshal_cost(reply.payload.len());
             s.charge_serial(sim.now(), raw)
         };
         sim.stats.sample_duration("server.exec_ms", total);
@@ -1945,9 +1932,7 @@ impl Server {
         }
 
         // The object's version advanced at execute time: drain any
-        // cross-shard writes-follow-reads holds this commit satisfied
-        // (after the commit's own WAL record, preserving dependency
-        // order on replay).
+        // cross-shard writes-follow-reads holds this commit satisfied.
         Server::drain_wfr(sv, sim, parsed.as_ref());
     }
 

@@ -178,7 +178,7 @@ fn after_append_crash_replays_reply_from_recovered_dedup() {
     // commit is durable but its reply never leaves the host.
     r.server
         .borrow_mut()
-        .script_crash(3, CrashPoint::AfterAppend);
+        .script_crash(3, CrashPoint::AfterFlush);
     let mut handles = Vec::new();
     for _ in 0..4 {
         handles.push(export_add(&mut r));
@@ -460,7 +460,7 @@ fn crashed_server_drops_traffic_and_events_narrate_the_outage() {
 
     r.server
         .borrow_mut()
-        .script_crash(2, CrashPoint::AfterAppend);
+        .script_crash(2, CrashPoint::AfterFlush);
     let h = export_add(&mut r);
     r.sim.run_for(SimDuration::from_secs(2));
     assert!(r.server.borrow().is_crashed());

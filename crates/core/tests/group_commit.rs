@@ -1,15 +1,16 @@
-//! Group-commit engine integration tests: batched WAL flushes hold
-//! replies until the group is durable, size-cap and window triggers,
-//! per-client reply coalescing, the staged-duplicate gate, mid-batch
-//! flush failure via `FaultStore`, and the committed-prefix property at
-//! batch granularity (a torn batch tail is discarded whole).
+//! Group-commit engine integration tests: self-clocked batches (commits
+//! that execute during a flush share the next one; a lone commit
+//! flushes at once) hold replies until the batch is durable, per-client
+//! reply coalescing, the staged-duplicate gate, mid-batch flush failure
+//! via `FaultStore`, and the committed-prefix property at batch
+//! granularity (a torn batch tail is discarded whole).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, CommitPolicy, ExportPayload, Guarantees, OpStatus, Priority,
-    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerEvent, Urn,
+    Client, ClientConfig, ExportPayload, Guarantees, OpStatus, Priority, ReexecuteResolver,
+    RoverObject, Server, ServerConfig, ServerEvent, StorageModel, Urn,
 };
 use rover_log::{FaultKind, FaultStore, MemStore};
 use rover_net::{LinkSpec, Net};
@@ -32,9 +33,9 @@ fn counter(p: &str) -> RoverObject {
         .with_field("n", "0")
 }
 
-fn group_cfg(max_batch: usize, window: SimDuration) -> ServerConfig {
+fn group_cfg(max_batch: usize) -> ServerConfig {
     let mut cfg = ServerConfig::workstation(SERVER);
-    cfg.commit = CommitPolicy::Group { max_batch, window };
+    cfg.commit_batch = max_batch;
     cfg
 }
 
@@ -49,9 +50,13 @@ struct RawRig {
 }
 
 fn raw_rig(seed: u64, scfg: ServerConfig) -> RawRig {
+    raw_rig_on(seed, scfg, LinkSpec::ETHERNET_10M)
+}
+
+fn raw_rig_on(seed: u64, scfg: ServerConfig, spec: LinkSpec) -> RawRig {
     let sim = Sim::new(seed);
     let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let link = net.add_link(spec, CLIENT, SERVER);
     let server = Server::new(&net, scfg);
     server
         .borrow_mut()
@@ -106,16 +111,24 @@ fn raw_export(j: u64) -> QrpcRequest {
 }
 
 /// Enqueues exports `js` one millisecond apart without running the sim:
-/// they land inside one commit window.
+/// on the 1995 server disk, all but the first land during the first
+/// flush.
 fn raw_burst_enqueue(r: &mut RawRig, js: std::ops::Range<u64>) {
+    raw_enqueue(r, js, SimDuration::from_millis(1));
+}
+
+/// Enqueues exports `js` with `gap` between sends.
+fn raw_enqueue(r: &mut RawRig, js: std::ops::Range<u64>, gap: SimDuration) {
     for (i, j) in js.enumerate() {
         let net = r.net.clone();
         let link = r.link;
         let env = Envelope::request(CLIENT, SERVER, &raw_export(j));
-        r.sim
-            .schedule_after(SimDuration::from_millis(i as u64), move |sim| {
+        r.sim.schedule_after(
+            SimDuration::from_micros(gap.as_micros() * i as u64),
+            move |sim| {
                 let _ = net.send(sim, link, env);
-            });
+            },
+        );
     }
 }
 
@@ -130,65 +143,92 @@ fn server_field_n(server: &rover_core::ServerRef) -> String {
 }
 
 #[test]
-fn window_flush_holds_replies_until_group_is_durable() {
-    let window = SimDuration::from_millis(200);
-    let mut r = raw_rig(31, group_cfg(64, window));
+fn burst_batches_behind_the_first_flush_and_replies_wait_for_durability() {
+    // 1995 server disk: one flush takes ~8.4 ms. The first export runs
+    // alone and flushes at once; the next three arrive 1 ms apart, stage
+    // while it is in flight, and its completion flushes them together.
+    // The first reply waits one batch for the client's later commits.
+    let mut r = raw_rig(31, group_cfg(64));
     Server::attach_wal(&r.server, &mut r.sim, Box::new(MemStore::new())).unwrap();
+    // The attach checkpoint's write occupies the CPU for ~8 ms.
+    r.sim.run_for(SimDuration::from_millis(20));
 
     raw_burst_enqueue(&mut r, 0..4);
-    // Well past arrival + execution, well before the window expires:
-    // all four have executed (the store moved) but no reply has left.
-    r.sim.run_for(SimDuration::from_millis(100));
+    // All four executed; only the first batch is written, and its flush
+    // is still in flight — no reply has left.
+    r.sim.run_for(SimDuration::from_millis(5));
     assert_eq!(server_field_n(&r.server), "4", "executions pipelined");
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 0);
+    assert_eq!(r.sim.stats.counter("server.group_commits"), 1);
     assert!(
         r.replies.borrow().is_empty(),
-        "no reply before the group flush"
+        "no reply before its batch is durable"
+    );
+    // The first batch is durable; the second is in flight and holds
+    // the same client's next commits, so the first reply waits for it.
+    r.sim.run_for(SimDuration::from_millis(7));
+    assert_eq!(r.sim.stats.counter("server.group_commits"), 2);
+    assert!(
+        r.replies.borrow().is_empty(),
+        "no reply before the batch it waits for is durable"
     );
 
     r.sim.run();
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 1);
     assert_eq!(r.sim.stats.counter("server.wal_appends"), 4);
     assert_eq!(r.replies.borrow().len(), 4);
-    // All four replies to one client: coalesced into one envelope.
+    // All four replies to the one client: one envelope.
     assert_eq!(r.sim.stats.counter("server.reply_coalesced"), 3);
     let sizes = r
         .sim
         .stats
         .series("server.group_commit_batch_size")
         .unwrap();
-    assert_eq!(sizes.values(), &[4.0]);
-    assert!(r.sim.stats.series("server.flush_wait_ms").unwrap().len() == 4);
+    assert_eq!(sizes.values(), &[1.0, 3.0]);
+    assert_eq!(r.sim.stats.series("server.flush_wait_ms").unwrap().len(), 4);
 }
 
 #[test]
-fn size_cap_flushes_without_waiting_for_the_window() {
-    // A window far longer than the test horizon: only the size cap can
-    // flush.
-    let mut r = raw_rig(32, group_cfg(2, SimDuration::from_secs(3600)));
+fn free_storage_batches_one_instant_and_flushes_a_lone_request_at_once() {
+    // The real-clock runtime's shape: free stable storage (the flush
+    // takes no virtual time) and the workstation CPU model, so requests
+    // delivered together execute at instants spaced by their unmarshal
+    // cost. Flushing whenever the disk is idle would commit each alone;
+    // the flusher waits until no received request is left to execute.
+    let mut scfg = group_cfg(32);
+    scfg.storage = StorageModel::FREE;
+    scfg.mtu = usize::MAX; // one coalesced reply envelope, unfragmented
+    let mut r = raw_rig_on(37, scfg, LinkSpec::LOOPBACK);
     Server::attach_wal(&r.server, &mut r.sim, Box::new(MemStore::new())).unwrap();
 
-    raw_burst_enqueue(&mut r, 0..4);
-    r.sim.run_for(SimDuration::from_secs(10));
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 2);
-    assert_eq!(r.replies.borrow().len(), 4);
+    raw_enqueue(&mut r, 0..32, SimDuration::ZERO);
+    r.sim.run();
+    assert_eq!(server_field_n(&r.server), "32");
+    assert_eq!(r.sim.stats.counter("server.group_commits"), 1);
+    assert_eq!(r.replies.borrow().len(), 32);
+
+    // A lone request flushes as soon as it has executed: no window.
+    let t0 = r.sim.now();
+    raw_enqueue(&mut r, 32..33, SimDuration::ZERO);
+    let replied_at = Rc::new(RefCell::new(None));
+    let (sink, replies) = (replied_at.clone(), r.replies.clone());
+    for _ in 0..1000 {
+        r.sim.run_for(SimDuration::from_micros(10));
+        if replies.borrow().len() == 33 {
+            *sink.borrow_mut() = Some(r.sim.now());
+            break;
+        }
+    }
+    let at = replied_at.borrow().expect("lone request replied");
+    assert!(
+        at.since(t0) <= SimDuration::from_millis(1),
+        "lone request waited {} us",
+        at.since(t0).as_micros()
+    );
     let sizes = r
         .sim
         .stats
         .series("server.group_commit_batch_size")
         .unwrap();
-    assert_eq!(sizes.values(), &[2.0, 2.0]);
-    // The stale window timers for both flushed batches must not cut a
-    // later batch short: send one more and let its own window flush it.
-    let net = r.net.clone();
-    let link = r.link;
-    let env = Envelope::request(CLIENT, SERVER, &raw_export(4));
-    r.sim.schedule_after(SimDuration::ZERO, move |sim| {
-        let _ = net.send(sim, link, env);
-    });
-    r.sim.run();
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 3);
-    assert_eq!(server_field_n(&r.server), "5");
+    assert_eq!(sizes.values(), &[32.0, 1.0]);
 }
 
 #[test]
@@ -196,7 +236,7 @@ fn full_stack_client_decodes_coalesced_reply_batches() {
     let mut sim = Sim::new(33);
     let net = Net::new();
     let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, group_cfg(64, SimDuration::from_millis(50)));
+    let server = Server::new(&net, group_cfg(64));
     server.borrow_mut().add_route(CLIENT, link);
     server
         .borrow_mut()
@@ -249,20 +289,23 @@ fn full_stack_client_decodes_coalesced_reply_batches() {
 
 #[test]
 fn duplicate_of_staged_commit_is_dropped_not_replayed() {
-    let mut r = raw_rig(34, group_cfg(64, SimDuration::from_millis(200)));
+    let mut r = raw_rig(34, group_cfg(64));
     Server::attach_wal(&r.server, &mut r.sim, Box::new(MemStore::new())).unwrap();
+    // The attach checkpoint's write occupies the CPU for ~8 ms.
+    r.sim.run_for(SimDuration::from_millis(20));
 
-    // Original and an immediate duplicate, both inside the window.
-    for (delay_ms, _) in [(0u64, ()), (20, ())] {
+    // Export 0 flushes alone; export 1 stages behind that flush, and an
+    // immediate duplicate of it arrives while it is still staged.
+    for (delay_ms, j) in [(0u64, 0u64), (1, 1), (2, 1)] {
         let net = r.net.clone();
         let link = r.link;
-        let env = Envelope::request(CLIENT, SERVER, &raw_export(0));
+        let env = Envelope::request(CLIENT, SERVER, &raw_export(j));
         r.sim
             .schedule_after(SimDuration::from_millis(delay_ms), move |sim| {
                 let _ = net.send(sim, link, env);
             });
     }
-    r.sim.run_for(SimDuration::from_millis(100));
+    r.sim.run_for(SimDuration::from_millis(5));
     assert_eq!(
         r.sim.stats.counter("server.dup_while_staged"),
         1,
@@ -271,38 +314,44 @@ fn duplicate_of_staged_commit_is_dropped_not_replayed() {
     assert!(r.replies.borrow().is_empty());
 
     r.sim.run();
-    assert_eq!(r.replies.borrow().len(), 1, "one durable commit, one reply");
+    assert_eq!(
+        r.replies.borrow().len(),
+        2,
+        "two durable commits, two replies"
+    );
 
     // A retransmission after the flush replays from the dedup cache.
     let net = r.net.clone();
     let link = r.link;
-    let env = Envelope::request(CLIENT, SERVER, &raw_export(0));
+    let env = Envelope::request(CLIENT, SERVER, &raw_export(1));
     r.sim.schedule_after(SimDuration::ZERO, move |sim| {
         let _ = net.send(sim, link, env);
     });
     r.sim.run();
     assert_eq!(r.sim.stats.counter("server.dedup_replay"), 1);
-    assert_eq!(server_field_n(&r.server), "1");
+    assert_eq!(server_field_n(&r.server), "2");
     assert_eq!(r.sim.stats.counter("server.dedup_miss_reexec"), 0);
 }
 
 #[test]
 fn flush_and_checkpoint_drains_staged_batch_for_graceful_shutdown() {
-    // The SIGTERM path of the real-clock runtime: a partially filled
-    // batch (window nowhere near expiring, size cap not hit) must be
-    // made durable and checkpointed on demand, so a clean shutdown
-    // loses nothing and the next boot replays nothing.
-    let mut r = raw_rig(36, group_cfg(64, SimDuration::from_secs(3600)));
+    // The SIGTERM path of the real-clock runtime: commits staged behind
+    // an in-flight flush must be made durable and checkpointed on
+    // demand, so a clean shutdown loses nothing and the next boot
+    // replays nothing.
+    let mut r = raw_rig(36, group_cfg(64));
     Server::attach_wal(&r.server, &mut r.sim, Box::new(MemStore::new())).unwrap();
+    // The attach checkpoint's write occupies the CPU for ~8 ms.
+    r.sim.run_for(SimDuration::from_millis(20));
     let ckpts_before = r.sim.stats.counter("server.checkpoints");
 
     raw_burst_enqueue(&mut r, 0..3);
-    r.sim.run_for(SimDuration::from_millis(100));
-    assert_eq!(server_field_n(&r.server), "3", "executed but staged");
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 0);
+    r.sim.run_for(SimDuration::from_millis(5));
+    assert_eq!(server_field_n(&r.server), "3", "executed; two staged");
+    assert_eq!(r.sim.stats.counter("server.group_commits"), 1);
 
     Server::flush_and_checkpoint(&r.server, &mut r.sim);
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 1);
+    assert_eq!(r.sim.stats.counter("server.group_commits"), 2);
     assert_eq!(
         r.sim.stats.counter("server.checkpoints"),
         ckpts_before + 1,
@@ -328,28 +377,29 @@ fn flush_and_checkpoint_drains_staged_batch_for_graceful_shutdown() {
 
     // Idempotent: with nothing staged it is a clean no-op checkpoint.
     Server::flush_and_checkpoint(&r.server, &mut r.sim);
-    assert_eq!(r.sim.stats.counter("server.group_commits"), 1);
+    assert_eq!(r.sim.stats.counter("server.group_commits"), 2);
 }
 
 #[test]
 fn mid_batch_flush_failure_crashes_host_and_no_group_reply_leaks() {
     // Learn where the device stands after the attach checkpoint, then
-    // tear the *group* frame of the first batch.
+    // tear the *group* frame of the first batch: four exports delivered
+    // in one instant form one batch.
     let base_len = {
-        let mut d = raw_rig(35, group_cfg(4, SimDuration::from_millis(100)));
+        let mut d = raw_rig_on(35, group_cfg(4), LinkSpec::LOOPBACK);
         Server::attach_wal(&d.server, &mut d.sim, Box::new(MemStore::new())).unwrap();
         let len = d.server.borrow().wal_device_len();
         len
     };
-    let mut r = raw_rig(35, group_cfg(4, SimDuration::from_millis(100)));
+    let mut r = raw_rig_on(35, group_cfg(4), LinkSpec::LOOPBACK);
     let mut store = FaultStore::new(MemStore::new());
     store.push_fault(base_len + 30, FaultKind::ShortWrite);
     Server::attach_wal(&r.server, &mut r.sim, Box::new(store)).unwrap();
 
-    raw_burst_enqueue(&mut r, 0..4);
+    raw_enqueue(&mut r, 0..4, SimDuration::ZERO);
     r.sim.run();
 
-    // The size-cap flush hit the fault: host down, torn frame on disk,
+    // The batch flush hit the fault: host down, torn frame on disk,
     // and — the invariant under test — not one of the four replies
     // ever left the host.
     assert_eq!(r.sim.stats.counter("server.wal_append_failed"), 1);
@@ -382,7 +432,7 @@ fn mid_batch_flush_failure_crashes_host_and_no_group_reply_leaks() {
 
 #[test]
 fn group_commit_event_narrates_flushes() {
-    let mut r = raw_rig(36, group_cfg(3, SimDuration::from_secs(3600)));
+    let mut r = raw_rig_on(36, group_cfg(3), LinkSpec::LOOPBACK);
     Server::attach_wal(&r.server, &mut r.sim, Box::new(MemStore::new())).unwrap();
     let flushes: Rc<RefCell<Vec<(usize, usize)>>> = Rc::new(RefCell::new(Vec::new()));
     let sink = flushes.clone();
@@ -391,7 +441,7 @@ fn group_commit_event_narrates_flushes() {
             sink.borrow_mut().push((*records, *wal_bytes));
         }
     });
-    raw_burst_enqueue(&mut r, 0..3);
+    raw_enqueue(&mut r, 0..3, SimDuration::ZERO);
     r.sim.run_for(SimDuration::from_secs(5));
     let evs = flushes.borrow();
     assert_eq!(evs.len(), 1);
@@ -417,10 +467,9 @@ mod batch_committed_prefix {
             frac in 0.0f64..1.0,
             seed in 0u64..500,
         ) {
-            let window = SimDuration::from_millis(40);
             // Dry run for device geometry under this exact workload.
             let (base_len, full_len) = {
-                let mut d = raw_rig(seed, group_cfg(max_batch, window));
+                let mut d = raw_rig(seed, group_cfg(max_batch));
                 Server::attach_wal(&d.server, &mut d.sim, Box::new(MemStore::new())).unwrap();
                 let base = d.server.borrow().wal_device_len();
                 raw_burst_enqueue(&mut d, 0..k);
@@ -432,7 +481,7 @@ mod batch_committed_prefix {
             let cut = base_len + ((full_len - base_len) as f64 * frac) as u64;
 
             // Faulted run: the flush crossing `cut` tears mid-frame.
-            let mut f = raw_rig(seed, group_cfg(max_batch, window));
+            let mut f = raw_rig(seed, group_cfg(max_batch));
             let mut store = FaultStore::new(MemStore::new());
             store.push_fault(cut, FaultKind::ShortWrite);
             Server::attach_wal(&f.server, &mut f.sim, Box::new(store)).unwrap();
@@ -463,7 +512,7 @@ mod batch_committed_prefix {
 
             // Committed-prefix oracle: a crash-free server fed exactly
             // the m durable commits has the identical canonical state.
-            let mut o = raw_rig(seed, group_cfg(max_batch, window));
+            let mut o = raw_rig(seed, group_cfg(max_batch));
             raw_burst_enqueue(&mut o, 0..m);
             o.sim.run();
             prop_assert_eq!(

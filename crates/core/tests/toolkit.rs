@@ -667,10 +667,7 @@ fn foreground_overtakes_queued_bulk_traffic() {
 #[test]
 fn group_commit_defers_flushes() {
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-    cfg.log_policy = LogPolicy::GroupCommit {
-        n: 4,
-        timeout: SimDuration::from_secs(30),
-    };
+    cfg.log_policy = LogPolicy::GroupCommit { n: 4 };
     let mut b = bed_with(LinkSpec::ETHERNET_10M, cfg);
     b.server.borrow_mut().put_object(counter_obj("c"));
     let p = Client::import(
@@ -684,122 +681,19 @@ fn group_commit_defers_flushes() {
     b.sim.run();
     assert!(p.is_ready());
 
-    // The import itself consumed one (timeout-driven) group flush.
-    let baseline = b
-        .sim
-        .stats
-        .series("client.flush_ms")
-        .map(|s| s.len())
-        .unwrap_or(0);
-
-    // Three quick exports: parked, no new flush yet.
-    for _ in 0..3 {
-        let _ = Client::export(
-            &b.client,
-            &mut b.sim,
-            &urn("c"),
-            b.session,
-            "add",
-            &["1"],
-            Priority::NORMAL,
-        )
-        .unwrap();
-    }
-    assert_eq!(
+    // The import itself consumed one flush.
+    let flushes = |b: &Bed| {
         b.sim
             .stats
             .series("client.flush_ms")
             .map(|s| s.len())
-            .unwrap_or(0),
-        baseline
-    );
-
-    // Fourth export fills the group: exactly one flush covers all four.
-    let _ = Client::export(
-        &b.client,
-        &mut b.sim,
-        &urn("c"),
-        b.session,
-        "add",
-        &["1"],
-        Priority::NORMAL,
-    )
-    .unwrap();
-    b.sim.run();
-    assert_eq!(
-        b.sim.stats.series("client.flush_ms").unwrap().len(),
-        baseline + 1
-    );
-    assert_eq!(
-        b.server.borrow().get_object(&urn("c")).unwrap().field("n"),
-        Some("4")
-    );
-}
-
-#[test]
-fn group_commit_timeout_releases_stragglers() {
-    let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-    cfg.log_policy = LogPolicy::GroupCommit {
-        n: 100,
-        timeout: SimDuration::from_secs(10),
+            .unwrap_or(0)
     };
-    let mut b = bed_with(LinkSpec::ETHERNET_10M, cfg);
-    b.server.borrow_mut().put_object(counter_obj("c"));
-    let p = Client::import(
-        &b.client,
-        &mut b.sim,
-        &urn("c"),
-        b.session,
-        Priority::FOREGROUND,
-    )
-    .unwrap();
-    b.sim.run();
-    assert!(p.is_ready());
+    let baseline = flushes(&b);
 
-    let h = Client::export(
-        &b.client,
-        &mut b.sim,
-        &urn("c"),
-        b.session,
-        "add",
-        &["1"],
-        Priority::NORMAL,
-    )
-    .unwrap();
-    b.sim.run_for(SimDuration::from_secs(5));
-    assert!(!h.committed.is_ready(), "still parked before the timeout");
-    b.sim.run();
-    assert!(h.committed.is_ready(), "timeout flushed and sent it");
-}
-
-#[test]
-fn stale_group_window_timer_does_not_cut_next_batch_short() {
-    // Regression (found by the clock-seam extraction): a size-cap flush
-    // left the window timer armed for the batch it had just committed.
-    // The stale timer then fired mid-way through the *next* batch's
-    // window and flushed it early — the configured window was silently
-    // shortened. The generation guard retires a timer with its batch.
-    let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-    cfg.log_policy = LogPolicy::GroupCommit {
-        n: 2,
-        timeout: SimDuration::from_secs(10),
-    };
-    let mut b = bed_with(LinkSpec::ETHERNET_10M, cfg);
-    b.server.borrow_mut().put_object(counter_obj("c"));
-    let p = Client::import(
-        &b.client,
-        &mut b.sim,
-        &urn("c"),
-        b.session,
-        Priority::FOREGROUND,
-    )
-    .unwrap();
-    b.sim.run();
-    assert!(p.is_ready());
-
-    // Exports A and B fill the group: the size cap flushes them while
-    // A's 10 s window timer is still pending.
-    for _ in 0..2 {
+    // Five quick exports: the first flushes at once; the other four
+    // stage behind it and share the next flush (the cap).
+    for _ in 0..5 {
         let _ = Client::export(
             &b.client,
             &mut b.sim,
@@ -811,16 +705,34 @@ fn stale_group_window_timer_does_not_cut_next_batch_short() {
         )
         .unwrap();
     }
-    b.sim.run_for(SimDuration::from_secs(5));
+    assert_eq!(flushes(&b), baseline + 1);
+    b.sim.run();
+    assert_eq!(flushes(&b), baseline + 2);
     assert_eq!(
         b.server.borrow().get_object(&urn("c")).unwrap().field("n"),
-        Some("2"),
-        "size-cap batch committed"
+        Some("5")
     );
+}
 
-    // Export C parks 5 s into A's old window. Its own window must run
-    // the full 10 s (until t+15); the stale timer would have cut it to
-    // 5 s (flush at t+10).
+#[test]
+fn group_commit_flushes_a_lone_export_at_once() {
+    // No window: an export issued while no flush is in flight goes to
+    // the log and the network immediately, however large the cap.
+    let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
+    cfg.log_policy = LogPolicy::GroupCommit { n: 100 };
+    let mut b = bed_with(LinkSpec::ETHERNET_10M, cfg);
+    b.server.borrow_mut().put_object(counter_obj("c"));
+    let p = Client::import(
+        &b.client,
+        &mut b.sim,
+        &urn("c"),
+        b.session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    b.sim.run();
+    assert!(p.is_ready());
+
     let h = Client::export(
         &b.client,
         &mut b.sim,
@@ -831,16 +743,66 @@ fn stale_group_window_timer_does_not_cut_next_batch_short() {
         Priority::NORMAL,
     )
     .unwrap();
-    b.sim.run_for(SimDuration::from_secs(8));
-    assert!(
-        !h.committed.is_ready(),
-        "stale window timer flushed the next batch early"
-    );
+    b.sim.run_for(SimDuration::from_secs(1));
+    assert!(h.committed.is_ready(), "flushed and sent without waiting");
+}
+
+#[test]
+fn request_abandoned_while_staged_is_not_reissued_after_crash() {
+    // Export B stages behind A's in-flight log flush. A link flap then
+    // restarts both requests' probes, and a zero retry budget abandons
+    // them before either flush completes. B's later flush must not
+    // leave a live log record behind: a post-crash recovery would
+    // re-issue a request whose promise already resolved Unreachable.
+    let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
+    cfg.log_policy = LogPolicy::GroupCommit { n: 4 };
+    // Probes outrun the 15 ms laptop-disk flush, not the import's RTT.
+    cfg.rto = SimDuration::from_millis(5);
+    cfg.retry_budget = Some(0);
+    let mut b = bed_with(LinkSpec::ETHERNET_10M, cfg.clone());
+    b.server.borrow_mut().put_object(counter_obj("c"));
+    let p = Client::import(
+        &b.client,
+        &mut b.sim,
+        &urn("c"),
+        b.session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
     b.sim.run();
-    assert!(h.committed.is_ready());
+    assert!(p.is_ready());
+
+    let hs: Vec<_> = (0..2)
+        .map(|_| {
+            Client::export(
+                &b.client,
+                &mut b.sim,
+                &urn("c"),
+                b.session,
+                "add",
+                &["1"],
+                Priority::NORMAL,
+            )
+            .unwrap()
+        })
+        .collect();
+    b.net.set_up(&mut b.sim, b.link, false);
+    b.net.set_up(&mut b.sim, b.link, true);
+    b.sim.run();
+    for h in &hs {
+        let o = h.committed.poll().expect("resolved");
+        assert_eq!(o.status, OpStatus::Unreachable);
+    }
+    assert_eq!(b.sim.stats.counter("client.retry_exhausted"), 2);
+    assert_eq!(Client::log_len(&b.client), 0, "both retired from the log");
+
+    let store = Client::crash(&b.client);
+    let _client = Client::recover(&mut b.sim, &b.net, cfg, vec![b.link], store);
+    b.sim.run();
     assert_eq!(
-        b.server.borrow().get_object(&urn("c")).unwrap().field("n"),
-        Some("3")
+        b.sim.stats.counter("client.recovered_qrpcs"),
+        0,
+        "an abandoned request was re-issued"
     );
 }
 

@@ -4,7 +4,7 @@
 //! soup never reaches.
 
 use rover_core::{encode_checkpoint, CheckpointImage, RoverObject, Urn};
-use rover_log::{FlushPolicy, MemStore, OpLog, RecordKind, StableStore};
+use rover_log::{MemStore, OpLog, RecordKind, StableStore};
 use rover_wire::{
     compress, encode_commit_batch, Bytes, CommitRecord, Envelope, Fragment, HostId, HttpRequest,
     HttpResponse, MigrateRecord, MsgKind, OpStatus, Priority, QrpcReply, QrpcRequest, ReplicaFrame,
@@ -242,12 +242,8 @@ pub fn wire_corpus() -> Vec<(WireTarget, Vec<u8>)> {
 pub fn log_corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for compress_payloads in [false, true] {
-        let mut log = OpLog::open_with(
-            MemStore::new(),
-            FlushPolicy::PerOperation,
-            compress_payloads,
-        )
-        .expect("fresh store opens");
+        let mut log =
+            OpLog::open_with(MemStore::new(), compress_payloads).expect("fresh store opens");
         for i in 0..6u64 {
             let kind = match i % 3 {
                 0 => RecordKind::Request,
@@ -259,7 +255,9 @@ pub fn log_corpus() -> Vec<Vec<u8>> {
                 0 => b"abcabcabcabcabcabcabcabcabcabc".to_vec(),
                 _ => (0..40u8).map(|b| b.wrapping_mul(37)).collect(),
             };
-            log.append(kind, payload).expect("append to mem store");
+            log.append(kind, payload)
+                .and_then(|_| log.flush())
+                .expect("append to mem store");
         }
         let mut store = log.into_store();
         out.push(store.read_all().expect("mem store read"));
@@ -268,6 +266,7 @@ pub fn log_corpus() -> Vec<Vec<u8>> {
     // the header often.
     let mut log = OpLog::open(MemStore::new()).expect("fresh store opens");
     log.append(RecordKind::Request, b"x".to_vec())
+        .and_then(|_| log.flush())
         .expect("append to mem store");
     let mut store = log.into_store();
     out.push(store.read_all().expect("mem store read"));

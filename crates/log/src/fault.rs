@@ -23,7 +23,8 @@
 //! let mut store = FaultStore::new(MemStore::new());
 //! store.push_fault(30, FaultKind::ShortWrite);
 //! let mut log = OpLog::open(store).unwrap();
-//! log.append(RecordKind::Request, vec![1u8; 64]).unwrap_err(); // short write
+//! log.append(RecordKind::Request, vec![1u8; 64]).unwrap();
+//! log.flush().unwrap_err(); // short write
 //! let inner = log.into_store().into_inner().crash(None);
 //! // Recovery sees a torn frame and discards it.
 //! assert_eq!(OpLog::open(inner).unwrap().len(), 0);
@@ -215,7 +216,7 @@ impl<S: StableStore> StableStore for FaultStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oplog::{FlushPolicy, OpLog, RecordKind};
+    use crate::oplog::{OpLog, RecordKind};
     use crate::store::MemStore;
 
     #[test]
@@ -286,11 +287,13 @@ mod tests {
         let mut store = FaultStore::new(MemStore::new());
         let mut log = OpLog::open(store).unwrap();
         log.append(RecordKind::Request, b"solid".to_vec()).unwrap();
+        log.flush().unwrap();
         let cut = log.device_len() + 10; // mid-header of the next frame
         store = log.into_store();
         store.push_fault(cut, FaultKind::ShortWrite);
         let mut log = OpLog::open(store).unwrap();
-        assert!(log.append(RecordKind::Request, b"torn!".to_vec()).is_err());
+        log.append(RecordKind::Request, b"torn!".to_vec()).unwrap();
+        assert!(log.flush().is_err());
         let inner = log.into_store().into_inner().crash(None);
         let log = OpLog::open(inner).unwrap();
         assert_eq!(log.len(), 1);
@@ -301,7 +304,7 @@ mod tests {
     fn oplog_group_commit_over_faultstore_loses_only_unsynced() {
         let mut store = FaultStore::new(MemStore::new());
         store.push_fault(u64::MAX, FaultKind::Enospc); // never fires
-        let mut log = OpLog::open_with(store, FlushPolicy::Manual, false).unwrap();
+        let mut log = OpLog::open(store).unwrap();
         log.append(RecordKind::Request, b"durable".to_vec())
             .unwrap();
         log.flush().unwrap();

@@ -7,8 +7,10 @@
 //! "does not perform any compression on the log and does not employ
 //! efficient techniques for implementing stable storage (e.g., Flash RAM
 //! or group commit)" — this crate implements the baseline behaviour
-//! faithfully *and* provides compression and group commit as switchable
-//! policies for the A1/A2 ablations.
+//! faithfully *and* provides compression and a self-clocking group-commit
+//! flusher ([`GroupFlusher`]) for the A1/A2 ablations. The log never
+//! syncs on its own: callers decide when to [`OpLog::flush`], and a
+//! flusher with cap 1 is the paper's per-operation flush.
 //!
 //! The log itself is storage-agnostic: [`StableStore`] abstracts the
 //! device (an in-memory store with crash simulation for tests and the
@@ -34,11 +36,11 @@
 #![deny(unsafe_code)]
 
 mod fault;
+mod flusher;
 mod oplog;
 mod store;
 
 pub use fault::{FaultKind, FaultStore, ScriptedFault};
-pub use oplog::{
-    FlushPolicy, FlushReceipt, LogError, LogRecord, OpLog, RecordKind, ScanIssue, ScanReport,
-};
+pub use flusher::GroupFlusher;
+pub use oplog::{FlushReceipt, LogError, LogRecord, OpLog, RecordKind, ScanIssue, ScanReport};
 pub use store::{FileStore, MemStore, StableStore};

@@ -204,23 +204,6 @@ pub struct LogRecord {
     pub payload: Bytes,
 }
 
-/// When appended records are forced to stable storage.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FlushPolicy {
-    /// Sync on every append — the paper's prototype behaviour; the flush
-    /// is on the critical path of each QRPC.
-    PerOperation,
-    /// Group commit: sync once at least `n` records are buffered (the
-    /// toolkit core adds a timeout using simulator events).
-    GroupCommit {
-        /// Records per group.
-        n: usize,
-    },
-    /// Never sync automatically; callers invoke [`OpLog::flush`]
-    /// themselves. Used by the "no stable log" ablation arm.
-    Manual,
-}
-
 /// What one [`OpLog::flush`] made durable; the toolkit core converts this
 /// into virtual time via its stable-storage cost model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -240,7 +223,6 @@ pub struct OpLog<S: StableStore> {
     store: S,
     records: BTreeMap<u64, LogRecord>,
     next_seq: u64,
-    policy: FlushPolicy,
     compress: bool,
     buffered: usize,
     appended_since_sync: usize,
@@ -251,11 +233,11 @@ impl<S: StableStore> OpLog<S> {
     /// Opens a log over `store`, replaying any durable records
     /// (crash recovery). Truncated or corrupt tail frames are discarded.
     pub fn open(store: S) -> Result<Self, LogError> {
-        Self::open_with(store, FlushPolicy::PerOperation, false)
+        Self::open_with(store, false)
     }
 
-    /// Opens a log with an explicit flush policy and compression flag.
-    pub fn open_with(mut store: S, policy: FlushPolicy, compress: bool) -> Result<Self, LogError> {
+    /// Opens a log, choosing whether appended payloads are compressed.
+    pub fn open_with(mut store: S, compress: bool) -> Result<Self, LogError> {
         // One refcounted image of the device: replayed payloads are
         // zero-copy views into it (unless compressed).
         let bytes = Bytes::from(store.read_all()?);
@@ -291,7 +273,6 @@ impl<S: StableStore> OpLog<S> {
             store,
             records,
             next_seq,
-            policy,
             compress,
             buffered: 0,
             appended_since_sync: 0,
@@ -311,11 +292,9 @@ impl<S: StableStore> OpLog<S> {
         self.scan
     }
 
-    /// Appends a record, returning its sequence number.
-    ///
-    /// Under [`FlushPolicy::PerOperation`] the record is durable when
-    /// this returns; under group commit it becomes durable when the group
-    /// fills (or on an explicit [`OpLog::flush`]).
+    /// Appends a record, returning its sequence number. The record is
+    /// buffered: it becomes durable at the next [`OpLog::flush`], which
+    /// the caller (usually driven by a [`crate::GroupFlusher`]) issues.
     pub fn append(&mut self, kind: RecordKind, payload: impl Into<Bytes>) -> Result<u64, LogError> {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -329,15 +308,6 @@ impl<S: StableStore> OpLog<S> {
         self.store.append(&frame)?;
         self.records.insert(seq, rec);
         self.appended_since_sync += 1;
-        match self.policy {
-            FlushPolicy::PerOperation => {
-                self.flush()?;
-            }
-            FlushPolicy::GroupCommit { n } if self.appended_since_sync >= n => {
-                self.flush()?;
-            }
-            _ => {}
-        }
         Ok(seq)
     }
 
@@ -544,17 +514,18 @@ mod tests {
     }
 
     #[test]
-    fn per_operation_policy_is_durable_immediately() {
+    fn flushed_record_is_durable() {
         let mut log = OpLog::open(MemStore::new()).unwrap();
         log.append(RecordKind::Request, b"x".to_vec()).unwrap();
+        log.flush().unwrap();
         let store = log.into_store().crash(None);
         let log = OpLog::open(store).unwrap();
         assert_eq!(log.len(), 1);
     }
 
     #[test]
-    fn manual_policy_loses_unflushed_on_crash() {
-        let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
+    fn unflushed_records_are_lost_on_crash() {
+        let mut log = OpLog::open(MemStore::new()).unwrap();
         log.append(RecordKind::Request, b"a".to_vec()).unwrap();
         log.flush().unwrap();
         log.append(RecordKind::Request, b"b".to_vec()).unwrap();
@@ -565,25 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_syncs_on_group_boundary() {
-        let mut log =
-            OpLog::open_with(MemStore::new(), FlushPolicy::GroupCommit { n: 3 }, false).unwrap();
-        log.append(RecordKind::Request, b"1".to_vec()).unwrap();
-        log.append(RecordKind::Request, b"2".to_vec()).unwrap();
-        assert!(log.buffered_bytes() > 0);
-        log.append(RecordKind::Request, b"3".to_vec()).unwrap();
-        assert_eq!(log.buffered_bytes(), 0);
-        let store = log.into_store().crash(None);
-        assert_eq!(OpLog::open(store).unwrap().len(), 3);
-    }
-
-    #[test]
     fn torn_tail_is_discarded_on_recovery() {
         let mut log = OpLog::open(MemStore::new()).unwrap();
         log.append(RecordKind::Request, b"good record".to_vec())
             .unwrap();
         log.append(RecordKind::Request, b"torn record".to_vec())
             .unwrap();
+        log.flush().unwrap();
         let durable = log.device_len();
         // Tear the last frame in half.
         let store = log.into_store().crash(Some(durable as usize - 5));
@@ -612,6 +571,7 @@ mod tests {
         let mut log = OpLog::open(MemStore::new()).unwrap();
         log.append(RecordKind::Request, b"good".to_vec()).unwrap();
         log.append(RecordKind::Request, b"torn".to_vec()).unwrap();
+        log.flush().unwrap();
         let durable = log.device_len();
         let store = log.into_store().crash(Some(durable as usize - 2));
         let log = OpLog::open(store).unwrap();
@@ -719,6 +679,7 @@ mod tests {
         for i in 0..10 {
             seqs.push(log.append(RecordKind::Request, vec![i; 100]).unwrap());
         }
+        log.flush().unwrap();
         let full = log.device_len();
         for s in &seqs[..9] {
             log.remove(*s).unwrap();
@@ -747,9 +708,10 @@ mod tests {
 
     #[test]
     fn compressed_log_roundtrips() {
-        let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::PerOperation, true).unwrap();
+        let mut log = OpLog::open_with(MemStore::new(), true).unwrap();
         let payload = b"request request request request request".repeat(20);
         log.append(RecordKind::Request, payload.clone()).unwrap();
+        log.flush().unwrap();
         let small = log.device_len();
         let store = log.into_store();
         let log = OpLog::open(store).unwrap();
@@ -757,12 +719,13 @@ mod tests {
         // Compare against an uncompressed log of the same record.
         let mut plain = OpLog::open(MemStore::new()).unwrap();
         plain.append(RecordKind::Request, payload).unwrap();
+        plain.flush().unwrap();
         assert!(small < plain.device_len());
     }
 
     #[test]
     fn incompressible_payload_stored_raw_under_compression() {
-        let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::PerOperation, true).unwrap();
+        let mut log = OpLog::open_with(MemStore::new(), true).unwrap();
         let payload: Vec<u8> = (0..=255u8).collect();
         log.append(RecordKind::Request, payload.clone()).unwrap();
         let store = log.into_store();
@@ -781,7 +744,7 @@ mod tests {
 
     #[test]
     fn flush_receipt_reports_bytes() {
-        let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
+        let mut log = OpLog::open(MemStore::new()).unwrap();
         log.append(RecordKind::Request, b"payload".to_vec())
             .unwrap();
         let r = log.flush().unwrap();

@@ -321,9 +321,11 @@ mod oplog_file_tests {
         let seqs: Vec<u64> = {
             let store = FileStore::open(&path).unwrap();
             let mut log = OpLog::open(store).unwrap();
-            (0..8)
+            let seqs = (0..8)
                 .map(|i| log.append(RecordKind::Request, vec![i as u8; 64]).unwrap())
-                .collect()
+                .collect();
+            log.flush().unwrap();
+            seqs
         };
 
         // Reopen from disk: everything durable is back.
@@ -364,6 +366,7 @@ mod oplog_file_tests {
                 log.append(RecordKind::Request, vec![i as u8; 10 + i])
                     .unwrap();
             }
+            log.flush().unwrap();
         }
         let total: usize = (0..6).map(frame_len).sum();
         assert_eq!(std::fs::metadata(&master).unwrap().len() as usize, total);

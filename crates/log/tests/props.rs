@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use rover_log::{FaultKind, FaultStore, FlushPolicy, MemStore, OpLog, RecordKind};
+use rover_log::{FaultKind, FaultStore, MemStore, OpLog, RecordKind};
 
 proptest! {
     #[test]
@@ -15,10 +15,10 @@ proptest! {
         tear in any::<u64>(),
         compress: bool,
     ) {
-        let mut log =
-            OpLog::open_with(MemStore::new(), FlushPolicy::PerOperation, compress).unwrap();
+        let mut log = OpLog::open_with(MemStore::new(), compress).unwrap();
         for p in &payloads {
             log.append(RecordKind::Request, p.clone()).unwrap();
+            log.flush().unwrap();
         }
         let durable = log.device_len();
         let torn = (tear % (durable + 1)) as usize;
@@ -44,7 +44,7 @@ proptest! {
         flushed in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..100), 0..10),
         unflushed in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..100), 1..10),
     ) {
-        let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
+        let mut log = OpLog::open(MemStore::new()).unwrap();
         for p in &flushed {
             log.append(RecordKind::Request, p.clone()).unwrap();
         }
@@ -64,11 +64,11 @@ proptest! {
         remove_mask in any::<u32>(),
         compress: bool,
     ) {
-        let mut log =
-            OpLog::open_with(MemStore::new(), FlushPolicy::PerOperation, compress).unwrap();
+        let mut log = OpLog::open_with(MemStore::new(), compress).unwrap();
         let mut seqs = Vec::new();
         for i in 0..n {
             seqs.push(log.append(RecordKind::Request, vec![i as u8; 50]).unwrap());
+            log.flush().unwrap();
         }
         let mut kept = Vec::new();
         for (i, s) in seqs.iter().enumerate() {
@@ -111,7 +111,7 @@ proptest! {
             store.push_fault(at, kind);
         }
 
-        let mut log = OpLog::open_with(store, FlushPolicy::Manual, false).unwrap();
+        let mut log = OpLog::open(store).unwrap();
         let mut appended: Vec<u64> = Vec::new();
         let mut payload_of = std::collections::BTreeMap::new();
         let mut removed = std::collections::BTreeSet::new();
